@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .danger import DangerZone, points_in_region, zone_node_mask
-from .field import CommGraph, NodeId, hop_bfs, nearest_node
+from .field import CommGraph, NodeId, bfs_tree, nearest_node, node_mask
 from .skeleton import Provenance, SkeletonGraph, default_street_width
 
 _GRID_EPS = 1e-9
@@ -415,42 +415,24 @@ def detect_voronoi_nodes(graph: CommGraph, sources, active=None,
     Needs at least two sources.  Duplicate (collocated) sources make nearly
     every sensor equidistant; such a band is flagged degenerate.
     """
+    mask = node_mask(graph.n, active)
+    ids = np.flatnonzero(mask)
     if distance_tables is None:
         pts = np.asarray(sources, dtype=np.float64)
         if pts.ndim != 2 or len(pts) < 2:
             raise ValueError("need at least two danger points")
-        blocked = None
-        if active is not None:
-            active = frozenset(active)
-            blocked = lambda v: v not in active  # noqa: E731
+        cand = ids.tolist()
         distance_tables = []
         for p in pts:
-            cand = sorted(active) if active is not None else None
             src = nearest_node(graph.field, (float(p[0]), float(p[1])), cand)
-            dist, _ = hop_bfs(graph, src, blocked)
-            distance_tables.append(dist)
+            distance_tables.append(bfs_tree(graph, [src], mask)[0])
     if len(distance_tables) < 2:
         raise ValueError("need at least two danger points")
-
-    if active is None:
-        ids = range(graph.n)
-    else:
-        ids = sorted(active)
-    band = set()
-    total = 0
-    for v in ids:
-        total += 1
-        d0, d1 = math.inf, math.inf
-        for table in distance_tables:
-            d = table[v]
-            if d < d0:
-                d0, d1 = d, d0
-            elif d < d1:
-                d1 = d
-        if d1 != math.inf and d1 - d0 <= max_gap:
-            band.add(v)
-    degenerate = total > 0 and len(band) >= degenerate_fraction * total
-    return VoronoiBand(nodes=frozenset(band), degenerate=degenerate)
+    # each node's two smallest hop distances over all sources
+    d0, d1 = np.sort(np.asarray(distance_tables)[:, ids], axis=0)[:2]
+    band = ids[np.isfinite(d1) & (d1 <= d0 + max_gap)]
+    degenerate = ids.size > 0 and band.size >= degenerate_fraction * ids.size
+    return VoronoiBand(nodes=frozenset(band.tolist()), degenerate=degenerate)
 
 
 def embed_voronoi_streets(sk: SkeletonGraph, band: VoronoiBand) -> SkeletonGraph:

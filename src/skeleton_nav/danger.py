@@ -193,11 +193,10 @@ def zone_node_mask(zone: DangerZone | None, positions: np.ndarray) -> np.ndarray
 def boundary_nodes(graph: CommGraph, zone: DangerZone) -> frozenset[NodeId]:
     """In-zone nodes that hear at least one out-of-zone neighbor."""
     mask = zone_node_mask(zone, graph.field.positions)
-    out = frozenset(
-        i for i in range(graph.n)
-        if mask[i] and any(not mask[v] for v in graph.adj[i])
-    )
-    return out
+    inside = np.flatnonzero(mask)
+    counts, nbrs = graph.neighbor_runs(inside)
+    hears_out = np.repeat(inside, counts)[~mask[nbrs]]
+    return frozenset(np.unique(hears_out).tolist())
 
 
 @dataclass(frozen=True, eq=False)

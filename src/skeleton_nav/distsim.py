@@ -6,19 +6,26 @@ sender id and are heard in ascending receiver id, so a rerun is byte
 identical; a seeded shuffle of the sender order is available for sensitivity
 checks.  Per-node transmission counters make packet costs exact rather than
 estimated.
+
+Hop floods run on the BFS kernel over the CSR graph (`field.bfs_tree`).  The
+centralized oracles run `scipy.sparse.csgraph` on the active-induced graph,
+which `active_graph` builds once and callers may pass in place of the active
+set.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra, shortest_path
 
 from .danger import PotentialModel, potential_of_distance
-from .field import CommGraph, NodeId, nearest_node
+from .field import CommGraph, NodeId, bfs_tree, nearest_node, node_mask
 
 INF = math.inf
 
@@ -61,10 +68,12 @@ class PathResult:
     packets: int                 # transmissions spent by the search
 
 
-def _active_set(graph: CommGraph, active) -> frozenset[NodeId]:
-    if active is None:
-        return frozenset(range(graph.n))
-    return active if isinstance(active, frozenset) else frozenset(active)
+def _active_mask(graph: CommGraph, active, source: NodeId) -> np.ndarray:
+    """Active nodes as a boolean mask (None: all); the source must be one."""
+    mask = node_mask(graph.n, active)
+    if not (0 <= source < graph.n and mask[source]):
+        raise ValueError(f"source {source} is not active")
+    return mask
 
 
 def run_bfs_flood(graph: CommGraph, active, source: NodeId,
@@ -74,33 +83,29 @@ def run_bfs_flood(graph: CommGraph, active, source: NodeId,
     Receivers keep the smallest hop count and take the lowest-id sender as
     parent, so the result equals a centralized BFS.
     """
-    members = _active_set(graph, active)
-    if source not in members:
-        raise ValueError(f"source {source} is not active")
-    n = graph.n
-    value = [INF] * n
-    parent = [-1] * n
-    tx = [0] * n
-    value[source] = 0.0
-    frontier = [source]
-    rounds = 0
-    while frontier:
-        nxt: list[NodeId] = []
-        for u in frontier:
-            tx[u] += 1
-            for v in graph.adj[u]:
-                if v in members and value[v] == INF:
-                    value[v] = value[u] + 1
-                    parent[v] = u
-                    nxt.append(v)
-                    if trace is not None:
-                        trace(f"{rounds} {u} {v} {PacketKind.SEARCH.value} "
-                              f"{int(value[v])}")
-        nxt.sort()
-        frontier = nxt
-        rounds += 1
-    return SimRun(kind=PacketKind.SEARCH, source=source, value=value,
-                  parent=parent, transmissions=tx, rounds=rounds)
+    return _flood(graph, _active_mask(graph, active, source), source,
+                  PacketKind.SEARCH, trace)
+
+
+def _flood(graph: CommGraph, mask: np.ndarray, source: NodeId,
+           kind: PacketKind, trace: TraceFn | None) -> SimRun:
+    """One kernel BFS read as a flood, its trace rebuilt from depth and parent.
+
+    Events go by round (the sender's depth), then sender, then receiver.
+    """
+    dist, parent = bfs_tree(graph, [source], mask)
+    reached = np.isfinite(dist)
+    value = dist.tolist()
+    parents = parent.tolist()
+    if trace is not None:
+        heard = np.flatnonzero(parent >= 0)
+        order = np.lexsort((heard, parent[heard], dist[heard]))
+        for v in heard[order].tolist():
+            hops = int(value[v])
+            trace(f"{hops - 1} {parents[v]} {v} {kind.value} {hops}")
+    return SimRun(kind=kind, source=source, value=value, parent=parents,
+                  transmissions=reached.astype(int).tolist(),
+                  rounds=int(dist[reached].max()) + 1)
 
 
 def run_min_exposure(graph: CommGraph, active, source: NodeId,
@@ -116,9 +121,9 @@ def run_min_exposure(graph: CommGraph, active, source: NodeId,
     by the number of strict improvements.  The fixed point equals a
     centralized node-weighted shortest path search.
     """
-    members = _active_set(graph, active)
-    if source not in members:
-        raise ValueError(f"source {source} is not active")
+    sub = graph.induced(_active_mask(graph, active, source))
+    ptr = sub.indptr.tolist()
+    nbrs = sub.indices.tolist()
     n = graph.n
     value = [INF] * n
     parent = [-1] * n
@@ -135,9 +140,7 @@ def run_min_exposure(graph: CommGraph, active, source: NodeId,
         for u in senders:
             tx[u] += 1
             base = value[u]
-            for v in graph.adj[u]:
-                if v not in members:
-                    continue
+            for v in nbrs[ptr[u]:ptr[u + 1]]:
                 cand = base + potentials[v]
                 if cand < value[v]:
                     value[v] = cand
@@ -168,37 +171,30 @@ def run_potential_phase(graph: CommGraph, active, model: PotentialModel,
     Every active node ends up knowing its hop distance to each source and its
     summed potential.  Unreached nodes contribute nothing (infinite range).
     """
-    members = _active_set(graph, active)
-    if not members:
+    mask = node_mask(graph.n, active)
+    if not mask.any():
         raise ValueError("no active nodes to flood")
-    candidates = sorted(members)
+    candidates = np.flatnonzero(mask).tolist()
     source_nodes = []
     tables = []
     packets = 0
+    potentials = np.zeros(graph.n)
     for sx, sy in model.sources:
         src = nearest_node(graph.field, (float(sx), float(sy)), candidates)
         source_nodes.append(src)
-        run = run_bfs_flood(graph, members, src, trace=None if trace is None
-                            else _tagged(trace, PacketKind.POTENTIAL_FLOOD))
+        run = _flood(graph, mask, src, PacketKind.POTENTIAL_FLOOD, trace)
         tables.append(run.value)
         packets += run.total_packets
-    potentials = [0.0] * graph.n
-    for table in tables:
-        for v in candidates:
-            d = table[v]
-            if d != INF:
-                potentials[v] += potential_of_distance(model, d)
+        hops = np.asarray(run.value)
+        reached = np.isfinite(hops)
+        hops = hops[reached].astype(np.int64)
+        # the law evaluated once per hop count, then added source by source
+        law = np.array([potential_of_distance(model, float(d))
+                        for d in range(int(hops.max()) + 1)])
+        potentials[reached] += law[hops]
     return PotentialPhase(source_nodes=tuple(source_nodes),
-                          distance_tables=tables, potentials=potentials,
-                          packets=packets)
-
-
-def _tagged(trace: TraceFn, kind: PacketKind) -> TraceFn:
-    def wrapped(line: str) -> None:
-        parts = line.split()
-        parts[3] = kind.value
-        trace(" ".join(parts))
-    return wrapped
+                          distance_tables=tables,
+                          potentials=potentials.tolist(), packets=packets)
 
 
 def extract_path(run: SimRun, destination: NodeId, graph: CommGraph,
@@ -233,43 +229,53 @@ def extract_path(run: SimRun, destination: NodeId, graph: CommGraph,
                       packets=run.total_packets)
 
 
-def centralized_bfs(graph: CommGraph, active, source: NodeId) -> list[float]:
-    """Reference hop distances, oracle for the flood (plain queue BFS)."""
-    from collections import deque
+@dataclass(frozen=True, eq=False)
+class ActiveGraph:
+    """An active set as a mask plus its induced unit-weight csgraph matrix."""
 
-    members = _active_set(graph, active)
-    dist = [INF] * graph.n
-    dist[source] = 0.0
-    q = deque([source])
-    while q:
-        u = q.popleft()
-        for v in graph.adj[u]:
-            if v in members and dist[v] == INF:
-                dist[v] = dist[u] + 1
-                q.append(v)
-    return dist
+    mask: np.ndarray
+    matrix: csr_matrix
+
+
+def active_graph(graph: CommGraph, active) -> ActiveGraph:
+    """The oracles' input for a node set (None: every node); build it once."""
+    mask = node_mask(graph.n, active)
+    return ActiveGraph(mask=mask, matrix=graph.induced(mask))
+
+
+def _oracle_input(graph: CommGraph, active, source: NodeId) -> csr_matrix:
+    if not isinstance(active, ActiveGraph):
+        active = active_graph(graph, active)
+    _active_mask(graph, active.mask, source)  # rejects an inactive source
+    return active.matrix
+
+
+def centralized_bfs(graph: CommGraph, active, source: NodeId) -> list[float]:
+    """Reference hop distances, oracle for the flood (csgraph BFS).
+
+    `active` is a node set (None: every node) or an `ActiveGraph`; the
+    source must be active.
+    """
+    dist = shortest_path(_oracle_input(graph, active, source), method="D",
+                         unweighted=True, indices=source)
+    return dist.tolist()
 
 
 def centralized_min_exposure(graph: CommGraph, active, source: NodeId,
                              potentials: Sequence[float]) -> list[float]:
-    """Node-weighted Dijkstra, oracle for the exposure flood."""
-    import heapq
+    """Node-weighted Dijkstra, oracle for the exposure flood (csgraph).
 
-    members = _active_set(graph, active)
-    best = [INF] * graph.n
-    best[source] = float(potentials[source])
-    heap = [(best[source], source)]
-    done = [False] * graph.n
-    while heap:
-        d, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        for v in graph.adj[u]:
-            if v not in members or done[v]:
-                continue
-            cand = d + potentials[v]
-            if cand < best[v]:
-                best[v] = cand
-                heapq.heappush(heap, (cand, v))
-    return best
+    Entering v costs potentials[v], and a virtual node n enters the source
+    at potentials[source]; each path is summed from the source outward, as
+    the flood sums it, so the values match bit for bit.  Zero potentials
+    stay explicit entries, which csgraph keeps as edges.  `active` is a node
+    set or an `ActiveGraph`; the source must be active.
+    """
+    mat = _oracle_input(graph, active, source)
+    pot = np.asarray(potentials, dtype=np.float64)
+    n = graph.n
+    with_entry = csr_matrix(
+        (np.append(pot[mat.indices], pot[source]),
+         np.append(mat.indices, source), np.append(mat.indptr, mat.nnz + 1)),
+        shape=(n + 1, n + 1))
+    return dijkstra(with_entry, indices=n)[:n].tolist()

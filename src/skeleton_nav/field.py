@@ -5,6 +5,9 @@ the expected node density is one sensor per unit area regardless of n.  Two
 sensors can talk iff their Euclidean distance is at most the radio range.  All
 randomness goes through numpy's seeded PCG64 generator, so a (n, r, seed)
 triple regenerates the identical field bit for bit.
+
+The graph is stored as CSR arrays, and every hop search in the package runs
+on `bfs_tree`, one level-synchronous numpy BFS over them.
 """
 
 from __future__ import annotations
@@ -12,8 +15,10 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Collection, Iterable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
 INF = math.inf
@@ -66,43 +71,120 @@ def generate_field(n: int, radio_range: float, seed: int) -> SensorField:
 class CommGraph:
     """Undirected communication graph: edge iff distance <= radio range.
 
-    Adjacency lists are sorted ascending and contain no self loops.
+    Stored as CSR arrays: the neighbours of node u are
+    ``indices[indptr[u]:indptr[u + 1]]``, sorted ascending, without self
+    loops.  Both arrays are read-only.
     """
 
     field: SensorField
-    adj: tuple[tuple[NodeId, ...], ...]
+    indptr: np.ndarray   # (n + 1,) int64 row offsets
+    indices: np.ndarray  # (2 * edges,) int32 neighbour ids
+
+    def __post_init__(self) -> None:
+        for arr in (self.indptr, self.indices):
+            arr.setflags(write=False)
 
     @property
     def n(self) -> int:
         return self.field.n
 
     def neighbors(self, node: NodeId) -> tuple[NodeId, ...]:
-        return self.adj[node]
+        return tuple(self.indices[self.indptr[node]:self.indptr[node + 1]]
+                     .tolist())
 
     def degree(self, node: NodeId) -> int:
-        return len(self.adj[node])
+        return int(self.indptr[node + 1] - self.indptr[node])
 
     def edge_count(self) -> int:
-        return sum(len(a) for a in self.adj) // 2
+        return len(self.indices) // 2
+
+    @cached_property
+    def adj(self) -> tuple[tuple[NodeId, ...], ...]:
+        """Read-only tuple-of-tuples view of the rows, for tests and eyes."""
+        rows = np.split(self.indices, self.indptr[1:-1])
+        return tuple(tuple(row.tolist()) for row in rows)
+
+    def neighbor_runs(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Degrees of `nodes` and their neighbour rows, concatenated in order."""
+        starts = self.indptr[nodes]
+        counts = self.indptr[nodes + 1] - starts
+        offsets = np.cumsum(counts) - counts  # where each row lands
+        pos = np.arange(counts.sum()) + np.repeat(starts - offsets, counts)
+        return counts, self.indices[pos]
+
+    def induced(self, mask: np.ndarray) -> csr_matrix:
+        """Unit-weight matrix of the edges with both ends in mask."""
+        members = np.flatnonzero(mask)
+        counts, nbrs = self.neighbor_runs(members)
+        keep = mask[nbrs]
+        rows = np.repeat(members, counts)[keep]
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
+        return csr_matrix((np.ones(len(rows)), nbrs[keep], indptr),
+                          shape=(self.n, self.n))
 
 
 def build_comm_graph(field: SensorField) -> CommGraph:
     """Connect every pair of sensors within radio range (inclusive).
 
     Uses a k-d tree for the pair query; the result is identical to the
-    quadratic all-pairs check.
+    quadratic all-pairs check.  Each pair becomes two directed entries,
+    sorted by (row, column) through one int64 key.
     """
+    n = field.n
     pairs = cKDTree(field.positions).query_pairs(field.radio_range,
                                                 output_type="ndarray")
-    lists: list[list[NodeId]] = [[] for _ in range(field.n)]
-    for i, j in pairs:
-        lists[i].append(int(j))
-        lists[j].append(int(i))
-    adj = tuple(tuple(sorted(a)) for a in lists)
-    return CommGraph(field=field, adj=adj)
+    i, j = pairs.T.astype(np.int64)
+    key = np.concatenate((i * n + j, j * n + i))
+    key.sort()
+    indptr = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) * n)
+    return CommGraph(field=field, indptr=indptr,
+                     indices=(key % n).astype(np.int32))
 
 
 BlockedSpec = Callable[[NodeId], bool] | Collection[NodeId] | None
+
+
+def node_mask(n: int, nodes: Collection[NodeId] | np.ndarray | None
+              ) -> np.ndarray:
+    """Boolean mask of length n (None: every node); masks pass through."""
+    if nodes is None:
+        return np.ones(n, dtype=bool)
+    if isinstance(nodes, np.ndarray) and nodes.dtype == bool:
+        return nodes
+    mask = np.zeros(n, dtype=bool)
+    mask[np.fromiter(nodes, dtype=np.int64, count=len(nodes))] = True
+    return mask
+
+
+def bfs_tree(graph: CommGraph, sources, allowed: np.ndarray | None = None,
+             max_depth: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Level-synchronous BFS over the CSR arrays: the package's one BFS.
+
+    Sources sit at depth 0 even outside `allowed` (None allows every node);
+    other nodes are entered only if allowed, and no deeper than max_depth.
+    Frontiers are sorted, so a node's first sender is its lowest-id
+    predecessor and becomes its parent.  Returns float64 depths (inf:
+    unreached) and int64 parents (-1 for sources and unreached nodes).
+    """
+    dist = np.full(graph.n, INF)
+    parent = np.full(graph.n, -1, dtype=np.int64)
+    closed = np.zeros(graph.n, dtype=bool) if allowed is None else ~allowed
+    frontier = np.unique(np.asarray(sources, dtype=np.int64))
+    closed[frontier] = True
+    dist[frontier] = 0.0
+    depth = 0
+    while frontier.size and (max_depth is None or depth < max_depth):
+        counts, nbrs = graph.neighbor_runs(frontier)
+        fresh = ~closed[nbrs]
+        senders = np.repeat(frontier, counts)[fresh]
+        # np.unique sorts stably, so `first` points at the lowest sender
+        frontier, first = np.unique(nbrs[fresh], return_index=True)
+        depth += 1
+        closed[frontier] = True
+        dist[frontier] = depth
+        parent[frontier] = senders[first]
+    return dist, parent
 
 
 def hop_bfs(graph: CommGraph, source: NodeId,
@@ -113,36 +195,15 @@ def hop_bfs(graph: CommGraph, source: NodeId,
     predecessors the lowest node id becomes the parent, which keeps reruns
     byte-identical.
     """
-    if blocked is None:
-        is_blocked = lambda _v: False  # noqa: E731
-    elif callable(blocked):
-        is_blocked = blocked
-    else:
-        members = blocked if isinstance(blocked, (set, frozenset)) else set(blocked)
-        is_blocked = members.__contains__
-
     if source < 0 or source >= graph.n:
         raise ValueError(f"source {source} out of range")
-    if is_blocked(source):
+    if callable(blocked):
+        blocked = np.fromiter(map(blocked, range(graph.n)), bool, graph.n)
+    allowed = None if blocked is None else ~node_mask(graph.n, blocked)
+    if allowed is not None and not allowed[source]:
         raise ValueError(f"source {source} is blocked")
-
-    dist: list[float] = [INF] * graph.n
-    parent: list[NodeId] = [-1] * graph.n
-    dist[source] = 0
-    level = [source]
-    d = 0
-    while level:
-        nxt: list[NodeId] = []
-        for u in level:  # ascending ids: first discoverer is the lowest parent
-            for v in graph.adj[u]:
-                if dist[v] == INF and not is_blocked(v):
-                    dist[v] = d + 1
-                    parent[v] = u
-                    nxt.append(v)
-        nxt.sort()
-        level = nxt
-        d += 1
-    return dist, parent
+    dist, parent = bfs_tree(graph, [source], allowed)
+    return dist.tolist(), parent.tolist()
 
 
 def nearest_node(field: SensorField, point: tuple[float, float],
@@ -161,8 +222,7 @@ def nearest_node(field: SensorField, point: tuple[float, float],
 
 
 def is_connected(graph: CommGraph) -> bool:
-    dist, _ = hop_bfs(graph, 0)
-    return all(d != INF for d in dist)
+    return INF not in hop_bfs(graph, 0)[0]
 
 
 def connectivity_census(n: int, radio_range: float, seeds: Iterable[int]) -> float:
@@ -216,6 +276,6 @@ def load_field(path) -> SensorField:
 def adjacency_text(graph: CommGraph) -> str:
     """Canonical text dump of the adjacency, for byte-level comparisons."""
     return "\n".join(
-        f"{i}:" + ",".join(str(v) for v in nbrs)
-        for i, nbrs in enumerate(graph.adj)
+        f"{i}:" + ",".join(map(str, graph.neighbors(i)))
+        for i in range(graph.n)
     ) + "\n"

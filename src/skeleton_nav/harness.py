@@ -10,23 +10,25 @@ from __future__ import annotations
 
 import hashlib
 import math
-from collections import deque
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .danger import DangerZone, PotentialModel, ZoneSpec, node_in_zone, \
     parse_zone, zone_node_mask
 from .field import CommGraph, SensorField, build_comm_graph, generate_field, \
-    nearest_node
+    nearest_node, node_mask
 from .skeleton import Provenance, SkeletonGraph, attach_offstreet_endpoints, \
     default_street_width
 from .uniform import UniformStreetConfig, build_uniform_skeleton
 from .adaptive import build_adaptive_skeleton, build_quadtree, \
     detect_voronoi_nodes, embed_voronoi_streets
-from .distsim import INF, centralized_bfs, centralized_min_exposure, \
-    extract_path, run_bfs_flood, run_min_exposure, run_potential_phase
+from .distsim import INF, ActiveGraph, active_graph, centralized_bfs, \
+    centralized_min_exposure, extract_path, run_bfs_flood, run_min_exposure, \
+    run_potential_phase
 
 ZONE_KINDS = ("none", "simple", "complex", "points")
 SKELETON_KINDS = ("full", "uniform", "adaptive")
@@ -114,6 +116,8 @@ class Scenario:
             raise ScenarioError("voronoi streets need at least two dangers")
         if self.width is not None and self.width <= 0:
             raise ScenarioError("street width must be positive")
+        if not 0.0 < self.epsilon < 0.5:
+            raise ScenarioError("epsilon must lie in (0, 1/2)")
 
     def canonical_text(self) -> str:
         """Stable serialization; also the hashing preimage."""
@@ -175,6 +179,8 @@ def parse_scenario(text: str) -> Scenario:
         parts = line.split(None, 1)
         if len(parts) != 2:
             raise ScenarioError(f"bad scenario line: {raw!r}")
+        if parts[0] in fields:
+            raise ScenarioError(f"duplicate scenario key {parts[0]!r}")
         fields[parts[0]] = parts[1].strip()
 
     optional = {"beta", "clamp", "width"}
@@ -200,8 +206,8 @@ def parse_scenario(text: str) -> Scenario:
         epsilon=take("epsilon", float, 0.05),
         width=take("width", float, None),
         shift=take("shift", float, 0.0),
-        prune=bool(take("prune", int, 0)),
-        voronoi=bool(take("voronoi", int, 0)),
+        prune=take("prune", _flag, False),
+        voronoi=take("voronoi", _flag, False),
         queries=take("queries", int, 0),
         query_seed=take("query_seed", int, 0),
         min_pair_distance=take("min_pair_distance", float, 0.0),
@@ -212,6 +218,12 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError(f"unknown scenario keys: {sorted(fields)}")
     s.validate()
     return s
+
+
+def _flag(text: str) -> bool:
+    if text not in ("0", "1"):
+        raise ScenarioError(f"flag must be 0 or 1, got {text!r}")
+    return text == "1"
 
 
 def fixture_zone(name: str) -> ZoneSpec:
@@ -233,6 +245,11 @@ class World:
     potentials: list[float] | None
     potential_packets: int
     resampled: int = 0
+
+    @cached_property
+    def oracle(self) -> ActiveGraph:
+        """The oracles' input over the active set, built on first use."""
+        return active_graph(self.graph, self.active)
 
 
 @dataclass(frozen=True)
@@ -289,18 +306,15 @@ def build_world(s: Scenario) -> World:
     f = generate_field(s.n, s.radio_range, s.seed)
     g = build_comm_graph(f)
     zone, model = make_zone(s, f.side)
-    if zone is None:
-        active = frozenset(range(s.n))
-    else:
-        active = frozenset(np.flatnonzero(
-            ~zone_node_mask(zone, f.positions)).tolist())
+    outside = ~zone_node_mask(zone, f.positions)
+    active = frozenset(np.flatnonzero(outside).tolist())
 
     potentials = None
     pot_packets = 0
     phase = None
     if "exposure" in s.metrics:
         assert model is not None  # validate() ties exposure to points zones
-        phase = run_potential_phase(g, active, model)
+        phase = run_potential_phase(g, outside, model)
         potentials = phase.potentials
         pot_packets = phase.packets
 
@@ -334,25 +348,13 @@ def _main_street_component(sk: SkeletonGraph) -> list[int]:
     component counts as addressable street.  Ties go to the component
     containing the lowest node id.
     """
-    awake = sk.awake
-    seen: set[int] = set()
-    best: list[int] = []
-    for start in sorted(awake):
-        if start in seen:
-            continue
-        seen.add(start)
-        comp = [start]
-        queue = deque((start,))
-        while queue:
-            u = queue.popleft()
-            for v in sk.graph.adj[u]:
-                if v in awake and v not in seen:
-                    seen.add(v)
-                    comp.append(v)
-                    queue.append(v)
-        if len(comp) > len(best):
-            best = comp
-    return sorted(best)
+    awake = node_mask(sk.graph.n, sk.awake)
+    _, labels = connected_components(sk.graph.induced(awake), directed=False)
+    ids = np.flatnonzero(awake)
+    comp = labels[ids]
+    size = np.bincount(comp)[comp]
+    # ids ascend, so argmax picks the largest component holding the lowest id
+    return ids[comp == comp[np.argmax(size)]].tolist()
 
 
 def sample_queries(world: World) -> list[tuple[int, int]]:
@@ -364,7 +366,8 @@ def sample_queries(world: World) -> list[tuple[int, int]]:
     graph oracle then runs between the same two nodes.  Points landing
     inside the zone are resampled, as are pairs closer than
     min_pair_distance and pairs whose two snaps collide; the resample count
-    is recorded on the world.
+    is recorded on the world.  Over 1000 resamples per query means no valid
+    pair can be found, and raises ScenarioError.
     """
     s = world.scenario
     rng = np.random.default_rng(s.query_seed)
@@ -374,13 +377,19 @@ def sample_queries(world: World) -> list[tuple[int, int]]:
     pairs: list[tuple[int, int]] = []
     resampled = 0
 
-    def draw_point() -> tuple[float, float]:
+    def reject() -> None:
         nonlocal resampled
+        resampled += 1
+        if resampled > 1000 * s.queries:
+            raise ScenarioError(f"gave up after {resampled} rejected draws "
+                                f"with {len(pairs)} of {s.queries} pairs")
+
+    def draw_point() -> tuple[float, float]:
         while True:
             x, y = rng.uniform(0.0, side, size=2)
             if zone is not None and zone.kind == "region" and \
                     node_in_zone(zone, (x, y)):
-                resampled += 1
+                reject()
                 continue
             return float(x), float(y)
 
@@ -388,12 +397,12 @@ def sample_queries(world: World) -> list[tuple[int, int]]:
         p = draw_point()
         q = draw_point()
         if math.hypot(p[0] - q[0], p[1] - q[1]) < s.min_pair_distance:
-            resampled += 1
+            reject()
             continue
         a = nearest_node(world.field, p, cand)
         b = nearest_node(world.field, q, cand)
         if a == b:
-            resampled += 1
+            reject()
             continue
         pairs.append((a, b))
     world.resampled = resampled
@@ -421,8 +430,8 @@ def run_query(world: World, index: int, src: int, dst: int) -> MetricsRecord:
         run = run_bfs_flood(g, sk.awake, src)
         pk_sg += run.total_packets
         res = extract_path(run, dst, g)
-        dist_full = centralized_bfs(g, world.active, src)
-        pk_full += sum(1 for d in dist_full if d != INF)
+        dist_full = centralized_bfs(g, world.oracle, src)
+        pk_full += g.n - dist_full.count(INF)
         reach_full = dist_full[dst] != INF
         reach_sg = res.reachable
         if reach_full:
@@ -441,7 +450,7 @@ def run_query(world: World, index: int, src: int, dst: int) -> MetricsRecord:
         run = run_min_exposure(g, sk.awake, src, pot)
         pk_sg += run.total_packets
         res = extract_path(run, dst, g, potentials=pot)
-        best = centralized_min_exposure(g, world.active, src, pot)
+        best = centralized_min_exposure(g, world.oracle, src, pot)
         full_ok = best[dst] != INF
         if "path" not in s.metrics:
             reach_full, reach_sg = full_ok, res.reachable

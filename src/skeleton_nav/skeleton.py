@@ -8,11 +8,13 @@ that start off-street get attached on the fly and are tagged as endpoints.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
-from .field import CommGraph, NodeId
+import numpy as np
+
+from .field import CommGraph, NodeId, bfs_tree, node_mask
 
 
 class Provenance(Enum):
@@ -38,8 +40,6 @@ class SkeletonGraph:
     construction: str                      # "uniform" | "adaptive"
     blocked: frozenset[NodeId] = frozenset()  # nodes inside the danger region
     geometry: object | None = None         # supports enclosing_cell(x, y)
-    _adj: dict[NodeId, tuple[NodeId, ...]] | None = dc_field(
-        default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.awake & self.blocked:
@@ -55,18 +55,12 @@ class SkeletonGraph:
 
     def neighbors(self, node: NodeId) -> list[NodeId]:
         awake = self.awake
-        return [v for v in self.graph.adj[node] if v in awake]
+        return [v for v in self.graph.neighbors(node) if v in awake]
 
-    @property
+    @cached_property
     def adjacency(self) -> dict[NodeId, tuple[NodeId, ...]]:
         """Induced adjacency over the awake set, built on first use."""
-        if self._adj is None:
-            awake = self.awake
-            self._adj = {
-                u: tuple(v for v in self.graph.adj[u] if v in awake)
-                for u in sorted(awake)
-            }
-        return self._adj
+        return {u: tuple(self.neighbors(u)) for u in sorted(self.awake)}
 
     def with_connectors(self, nodes, tag: Provenance = Provenance.ENDPOINT
                         ) -> "SkeletonGraph":
@@ -110,31 +104,6 @@ class AttachResult:
     dst_attached: bool
 
 
-def _ring_flood(graph: CommGraph, blocked: frozenset[NodeId], source: NodeId,
-                ttl: int) -> tuple[list[float], list[NodeId], int]:
-    """Depth-capped BFS; every reached node (source included) forwards once."""
-    INF = math.inf
-    dist: list[float] = [INF] * graph.n
-    parent: list[NodeId] = [-1] * graph.n
-    dist[source] = 0
-    level = [source]
-    reached = 1
-    d = 0
-    while level and d < ttl:
-        nxt: list[NodeId] = []
-        for u in level:
-            for v in graph.adj[u]:
-                if dist[v] == INF and v not in blocked:
-                    dist[v] = d + 1
-                    parent[v] = u
-                    nxt.append(v)
-        nxt.sort()
-        reached += len(nxt)
-        level = nxt
-        d += 1
-    return dist, parent, reached
-
-
 def attach_offstreet_endpoints(graph: CommGraph, sk: SkeletonGraph,
                                src: NodeId, dst: NodeId) -> AttachResult:
     """Wire query endpoints into the skeleton, counting wake-up packets.
@@ -152,17 +121,21 @@ def attach_offstreet_endpoints(graph: CommGraph, sk: SkeletonGraph,
 
     if src not in sk.awake:
         src_ok = False
+        allowed = ~node_mask(graph.n, sk.blocked)
+        awake = node_mask(graph.n, sk.awake)
         ttl = 1
         prev_reached = 0
         while True:
-            dist, parent, reached = _ring_flood(graph, sk.blocked, src, ttl)
+            # depth-capped flood: every reached node forwards once
+            dist, parent = bfs_tree(graph, [src], allowed, max_depth=ttl)
+            reached = int(np.isfinite(dist).sum())
             packets += reached
-            hits = [(dist[v], v) for v in sk.awake if dist[v] != math.inf]
-            if hits:
-                _, best = min(hits)  # nearest street node, lowest id on ties
-                node = parent[best]
+            hits = np.flatnonzero(awake & np.isfinite(dist))
+            if hits.size:
+                # nearest street node; argmin keeps the lowest id on ties
+                node = parent[hits[np.argmin(dist[hits])]]
                 while node != -1:  # chain from src up to (excluding) the hit
-                    connectors.add(node)
+                    connectors.add(int(node))
                     node = parent[node]
                 src_ok = True
                 break
@@ -188,12 +161,7 @@ def _enclosing_cell_nodes(graph: CommGraph, sk: SkeletonGraph,
     geom = sk.geometry
     if geom is None:
         return {dst} - sk.blocked
-    x, y = graph.field.position(dst)
-    x0, y0, x1, y1 = geom.enclosing_cell(x, y)
-    pos = graph.field.positions
-    out = {
-        i for i in range(graph.n)
-        if x0 <= pos[i, 0] <= x1 and y0 <= pos[i, 1] <= y1
-        and i not in sk.blocked
-    }
-    return out
+    x0, y0, x1, y1 = geom.enclosing_cell(*graph.field.position(dst))
+    px, py = graph.field.positions.T
+    inside = (x0 <= px) & (px <= x1) & (y0 <= py) & (py <= y1)
+    return set(np.flatnonzero(inside).tolist()) - sk.blocked

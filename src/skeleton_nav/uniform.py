@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .danger import DangerZone, boundary_nodes, zone_node_mask
-from .field import CommGraph, NodeId
+from .field import CommGraph, NodeId, bfs_tree, node_mask
 from .skeleton import Provenance, SkeletonGraph, default_street_width
 
 
@@ -115,23 +115,10 @@ def build_perimeter_streets(graph: CommGraph, zone: DangerZone,
     assembling a skeleton); with width 0 the result is exactly the boundary.
     """
     base = boundary_nodes(graph, zone)
-    if not base:
-        return frozenset()
-    hops = math.ceil(width)
-    if hops <= 0:
-        return base
-    mask = zone_node_mask(zone, graph.field.positions)
-    seen = set(base)
-    frontier = sorted(base)
-    for _ in range(hops):
-        nxt = []
-        for u in frontier:
-            for v in graph.adj[u]:
-                if v not in seen and not mask[v]:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = sorted(nxt)
-    return frozenset(seen)
+    outside = ~zone_node_mask(zone, graph.field.positions)
+    dist, _ = bfs_tree(graph, sorted(base), outside,
+                       max_depth=math.ceil(width))
+    return frozenset(np.flatnonzero(np.isfinite(dist)).tolist())
 
 
 def prune_street(graph: CommGraph, street: frozenset[NodeId],
@@ -145,25 +132,13 @@ def prune_street(graph: CommGraph, street: frozenset[NodeId],
     a, b = endpoints
     if a not in street or b not in street:
         raise ValueError("endpoints must belong to the street")
-    INF = math.inf
-    dist = {a: 0}
-    parent: dict[NodeId, NodeId] = {}
-    level = [a]
-    while level and b not in dist:
-        nxt = []
-        for u in level:
-            for v in graph.adj[u]:
-                if v in street and v not in dist:
-                    dist[v] = dist[u] + 1
-                    parent[v] = u
-                    nxt.append(v)
-        level = sorted(nxt)
-    if b not in dist:
+    dist, parent = bfs_tree(graph, [a], node_mask(graph.n, street))
+    if not np.isfinite(dist[b]):
         return street, False
     path = {b}
     node = b
     while node != a:
-        node = parent[node]
+        node = int(parent[node])
         path.add(node)
     return frozenset(path), True
 

@@ -1,0 +1,96 @@
+"""Pure-Python reference searches, kept as independent checks.
+
+The package runs its searches on CSR arrays: one numpy BFS kernel
+(`field.bfs_tree`) and `scipy.sparse.csgraph` for the centralized oracles.
+These loops walk the tuple-of-tuples adjacency (`CommGraph.adj`) one
+neighbour at a time instead.  `centralized_bfs` and
+`centralized_min_exposure` are the package's former oracles, unchanged;
+`reference_bfs` is the hand-written level loop the kernel replaced,
+generalized to several sources and a depth cap.
+"""
+
+from __future__ import annotations
+
+import math
+from collections.abc import Sequence
+
+from skeleton_nav.field import CommGraph, NodeId
+
+INF = math.inf
+
+
+def _active_set(graph: CommGraph, active) -> frozenset[NodeId]:
+    if active is None:
+        return frozenset(range(graph.n))
+    return active if isinstance(active, frozenset) else frozenset(active)
+
+
+def reference_bfs(graph: CommGraph, sources, allowed=None,
+                  max_depth: int | None = None
+                  ) -> tuple[list[float], list[NodeId]]:
+    """Level loop: sources at depth 0, lowest-id discoverer as parent.
+
+    Sources count as reached whatever `allowed` says; other nodes are
+    entered only if allowed (None allows all) and at most max_depth hops
+    out.
+    """
+    dist: list[float] = [INF] * graph.n
+    parent: list[NodeId] = [-1] * graph.n
+    level = sorted(set(sources))
+    for s in level:
+        dist[s] = 0
+    d = 0
+    while level and (max_depth is None or d < max_depth):
+        nxt: list[NodeId] = []
+        for u in level:  # ascending ids: first discoverer is the lowest parent
+            for v in graph.adj[u]:
+                if dist[v] == INF and (allowed is None or allowed[v]):
+                    dist[v] = d + 1
+                    parent[v] = u
+                    nxt.append(v)
+        nxt.sort()
+        level = nxt
+        d += 1
+    return dist, parent
+
+
+def centralized_bfs(graph: CommGraph, active, source: NodeId) -> list[float]:
+    """Reference hop distances, oracle for the flood (plain queue BFS)."""
+    from collections import deque
+
+    members = _active_set(graph, active)
+    dist = [INF] * graph.n
+    dist[source] = 0.0
+    q = deque([source])
+    while q:
+        u = q.popleft()
+        for v in graph.adj[u]:
+            if v in members and dist[v] == INF:
+                dist[v] = dist[u] + 1
+                q.append(v)
+    return dist
+
+
+def centralized_min_exposure(graph: CommGraph, active, source: NodeId,
+                             potentials: Sequence[float]) -> list[float]:
+    """Node-weighted Dijkstra, oracle for the exposure flood."""
+    import heapq
+
+    members = _active_set(graph, active)
+    best = [INF] * graph.n
+    best[source] = float(potentials[source])
+    heap = [(best[source], source)]
+    done = [False] * graph.n
+    while heap:
+        d, u = heapq.heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        for v in graph.adj[u]:
+            if v not in members or done[v]:
+                continue
+            cand = d + potentials[v]
+            if cand < best[v]:
+                best[v] = cand
+                heapq.heappush(heap, (cand, v))
+    return best

@@ -16,6 +16,7 @@ from skeleton_nav.danger import PotentialModel, potential_of_distance
 from skeleton_nav.distsim import (
     PacketKind,
     SimRun,
+    active_graph,
     centralized_bfs,
     centralized_min_exposure,
     extract_path,
@@ -105,6 +106,11 @@ def test_inactive_source_rejected(tiny_graph):
         run_bfs_flood(tiny_graph, {1, 2}, 0)
     with pytest.raises(ValueError):
         run_min_exposure(tiny_graph, {1, 2}, 0, [0.0] * 4)
+    for form in ({1, 2}, active_graph(tiny_graph, {1, 2})):
+        with pytest.raises(ValueError):
+            centralized_bfs(tiny_graph, form, 0)
+        with pytest.raises(ValueError):
+            centralized_min_exposure(tiny_graph, form, 0, [0.0] * 4)
 
 
 def test_bfs_trace_is_frozen(tiny_graph):

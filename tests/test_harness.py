@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -52,6 +53,9 @@ def test_scenario_validation_errors():
         dict(voronoi=True),                        # needs a points zone
         dict(zone_kind="points", danger_count=1, voronoi=True),
         dict(width=0.0),
+        dict(epsilon=0.0),
+        dict(epsilon=0.5),
+        dict(epsilon=0.9),
     ]
     for kwargs in bad:
         with pytest.raises(ScenarioError):
@@ -89,6 +93,10 @@ queries 3
         parse_scenario("n 256\nwibble 3\n")
     with pytest.raises(ScenarioError):
         parse_scenario("n\n")
+    for bad in ("n 64\nn 128\n", "prune 2\n", "voronoi -1\n",
+                "epsilon 0.9\n"):
+        with pytest.raises(ScenarioError):
+            parse_scenario(bad)
 
 
 def test_fixture_zones_load():
@@ -161,6 +169,20 @@ def test_sample_queries_min_pair_distance():
     pairs = sample_queries(world)
     assert len(pairs) == 5
     assert world.resampled > 0  # a 16-unit field forces many rejections
+
+
+def test_unsatisfiable_sampling_exits_with_config_error(tmp_path):
+    # a 64-node field is 8 units wide: no pair is 100 units apart
+    path = tmp_path / "far.scenario"
+    save_scenario(Scenario(n=64, queries=2, min_pair_distance=100.0), path)
+    codes = []
+    worker = threading.Thread(
+        target=lambda: codes.append(cli.main(["run", str(path)])),
+        daemon=True)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive(), "sampling did not give up"
+    assert codes == [1]
 
 
 def test_full_skeleton_ratios_are_exactly_one():
