@@ -15,7 +15,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .danger import DangerZone, points_in_region, zone_node_mask
-from .field import CommGraph, NodeId, bfs_tree, nearest_node, node_mask
+from .field import CommGraph, NodeId, active_graph, hop_distances, \
+    nearest_node, node_mask
 from .skeleton import Provenance, SkeletonGraph, default_street_width
 
 _GRID_EPS = 1e-9
@@ -422,10 +423,11 @@ def detect_voronoi_nodes(graph: CommGraph, sources, active=None,
         if pts.ndim != 2 or len(pts) < 2:
             raise ValueError("need at least two danger points")
         cand = ids.tolist()
+        search = active_graph(graph, mask)
         distance_tables = []
         for p in pts:
             src = nearest_node(graph.field, (float(p[0]), float(p[1])), cand)
-            distance_tables.append(bfs_tree(graph, [src], mask)[0])
+            distance_tables.append(hop_distances(search, src))
     if len(distance_tables) < 2:
         raise ValueError("need at least two danger points")
     # each node's two smallest hop distances over all sources

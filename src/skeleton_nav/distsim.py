@@ -7,10 +7,16 @@ identical; a seeded shuffle of the sender order is available for sensitivity
 checks.  Per-node transmission counters make packet costs exact rather than
 estimated.
 
-Hop floods run on the BFS kernel over the CSR graph (`field.bfs_tree`).  The
-centralized oracles run `scipy.sparse.csgraph` on the active-induced graph,
-which `active_graph` builds once and callers may pass in place of the active
-set.
+Searches take the active subgraph as a node set (None: every node) or as a
+prebuilt `field.ActiveGraph`; a node set is turned into one on each call, so
+callers that search the same set repeatedly build it once and pass it (a
+skeleton's `search`, a world's `oracle`).  The hop flood, the hop oracle and
+the potential phase read hop distances off one csgraph BFS order
+(`field.hop_distances`), whose cost follows the edges the search reaches;
+the flood then takes each node's lowest-id parent from its sorted induced
+row.  The exposure flood relaxes in Python over the induced rows, and its
+oracle is csgraph's Dijkstra.  The depth-capped, multi-source and masked
+searches elsewhere in the package run on `field.bfs_tree`.
 """
 
 from __future__ import annotations
@@ -19,13 +25,15 @@ import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra, shortest_path
+from scipy.sparse.csgraph import dijkstra
 
 from .danger import PotentialModel, potential_of_distance
-from .field import CommGraph, NodeId, bfs_tree, nearest_node, node_mask
+from .field import ActiveGraph, CommGraph, NodeId, active_graph, \
+    hop_distances, nearest_node
 
 INF = math.inf
 
@@ -51,8 +59,9 @@ class SimRun:
     rounds: int
     converged: bool = True
 
-    @property
+    @cached_property
     def total_packets(self) -> int:
+        """Transmissions summed once; the per-node counts do not change."""
         return sum(self.transmissions)
 
 
@@ -68,12 +77,12 @@ class PathResult:
     packets: int                 # transmissions spent by the search
 
 
-def _active_mask(graph: CommGraph, active, source: NodeId) -> np.ndarray:
-    """Active nodes as a boolean mask (None: all); the source must be one."""
-    mask = node_mask(graph.n, active)
-    if not (0 <= source < graph.n and mask[source]):
+def _search_graph(graph: CommGraph, active, source: NodeId) -> ActiveGraph:
+    """The search input as an `ActiveGraph`; the source must be active."""
+    active = active_graph(graph, active)
+    if not (0 <= source < graph.n and active.mask[source]):
         raise ValueError(f"source {source} is not active")
-    return mask
+    return active
 
 
 def run_bfs_flood(graph: CommGraph, active, source: NodeId,
@@ -81,30 +90,35 @@ def run_bfs_flood(graph: CommGraph, active, source: NodeId,
     """Synchronous flood: every node that hears the packet forwards it once.
 
     Receivers keep the smallest hop count and take the lowest-id sender as
-    parent, so the result equals a centralized BFS.
+    parent, so the result equals a centralized BFS.  The trace is rebuilt
+    from depth and parent: events go by round (the sender's depth), then
+    sender, then receiver.
     """
-    return _flood(graph, _active_mask(graph, active, source), source,
-                  PacketKind.SEARCH, trace)
-
-
-def _flood(graph: CommGraph, mask: np.ndarray, source: NodeId,
-           kind: PacketKind, trace: TraceFn | None) -> SimRun:
-    """One kernel BFS read as a flood, its trace rebuilt from depth and parent.
-
-    Events go by round (the sender's depth), then sender, then receiver.
-    """
-    dist, parent = bfs_tree(graph, [source], mask)
+    search = _search_graph(graph, active, source)
+    dist = hop_distances(search, source)
+    # each induced row is sorted, so a heard node's first neighbour one
+    # level up is its lowest-id sender
+    mat = search.matrix
+    rows = np.repeat(np.arange(graph.n), np.diff(mat.indptr))
+    depth = dist[rows]
+    up = (dist[mat.indices] == depth - 1) & (depth < INF)
+    rows, senders = rows[up], mat.indices[up]
+    first = np.ones(rows.size, dtype=bool)
+    first[1:] = rows[1:] != rows[:-1]
+    parent = np.full(graph.n, -1, dtype=np.int64)
+    parent[rows[first]] = senders[first]
     reached = np.isfinite(dist)
     value = dist.tolist()
     parents = parent.tolist()
     if trace is not None:
-        heard = np.flatnonzero(parent >= 0)
+        heard = rows[first]
         order = np.lexsort((heard, parent[heard], dist[heard]))
         for v in heard[order].tolist():
             hops = int(value[v])
-            trace(f"{hops - 1} {parents[v]} {v} {kind.value} {hops}")
-    return SimRun(kind=kind, source=source, value=value, parent=parents,
-                  transmissions=reached.astype(int).tolist(),
+            trace(f"{hops - 1} {parents[v]} {v} {PacketKind.SEARCH.value} "
+                  f"{hops}")
+    return SimRun(kind=PacketKind.SEARCH, source=source, value=value,
+                  parent=parents, transmissions=reached.astype(int).tolist(),
                   rounds=int(dist[reached].max()) + 1)
 
 
@@ -121,7 +135,7 @@ def run_min_exposure(graph: CommGraph, active, source: NodeId,
     by the number of strict improvements.  The fixed point equals a
     centralized node-weighted shortest path search.
     """
-    sub = graph.induced(_active_mask(graph, active, source))
+    sub = _search_graph(graph, active, source).matrix
     ptr = sub.indptr.tolist()
     nbrs = sub.indices.tolist()
     n = graph.n
@@ -164,17 +178,18 @@ class PotentialPhase:
     packets: int
 
 
-def run_potential_phase(graph: CommGraph, active, model: PotentialModel,
-                        trace: TraceFn | None = None) -> PotentialPhase:
+def run_potential_phase(graph: CommGraph, active, model: PotentialModel
+                        ) -> PotentialPhase:
     """One BFS flood per danger source; hop distance feeds the potential law.
 
     Every active node ends up knowing its hop distance to each source and its
     summed potential.  Unreached nodes contribute nothing (infinite range).
+    `active` is a node set or an `ActiveGraph`.
     """
-    mask = node_mask(graph.n, active)
-    if not mask.any():
+    active = active_graph(graph, active)
+    candidates = np.flatnonzero(active.mask).tolist()
+    if not candidates:
         raise ValueError("no active nodes to flood")
-    candidates = np.flatnonzero(mask).tolist()
     source_nodes = []
     tables = []
     packets = 0
@@ -182,12 +197,11 @@ def run_potential_phase(graph: CommGraph, active, model: PotentialModel,
     for sx, sy in model.sources:
         src = nearest_node(graph.field, (float(sx), float(sy)), candidates)
         source_nodes.append(src)
-        run = _flood(graph, mask, src, PacketKind.POTENTIAL_FLOOD, trace)
-        tables.append(run.value)
-        packets += run.total_packets
-        hops = np.asarray(run.value)
-        reached = np.isfinite(hops)
-        hops = hops[reached].astype(np.int64)
+        dist = hop_distances(active, src)
+        tables.append(dist.tolist())
+        reached = np.isfinite(dist)
+        packets += int(reached.sum())  # every reached node forwards once
+        hops = dist[reached].astype(np.int64)
         # the law evaluated once per hop count, then added source by source
         law = np.array([potential_of_distance(model, float(d))
                         for d in range(int(hops.max()) + 1)])
@@ -229,36 +243,13 @@ def extract_path(run: SimRun, destination: NodeId, graph: CommGraph,
                       packets=run.total_packets)
 
 
-@dataclass(frozen=True, eq=False)
-class ActiveGraph:
-    """An active set as a mask plus its induced unit-weight csgraph matrix."""
-
-    mask: np.ndarray
-    matrix: csr_matrix
-
-
-def active_graph(graph: CommGraph, active) -> ActiveGraph:
-    """The oracles' input for a node set (None: every node); build it once."""
-    mask = node_mask(graph.n, active)
-    return ActiveGraph(mask=mask, matrix=graph.induced(mask))
-
-
-def _oracle_input(graph: CommGraph, active, source: NodeId) -> csr_matrix:
-    if not isinstance(active, ActiveGraph):
-        active = active_graph(graph, active)
-    _active_mask(graph, active.mask, source)  # rejects an inactive source
-    return active.matrix
-
-
 def centralized_bfs(graph: CommGraph, active, source: NodeId) -> list[float]:
-    """Reference hop distances, oracle for the flood (csgraph BFS).
+    """Reference hop distances, oracle for the flood (csgraph BFS order).
 
     `active` is a node set (None: every node) or an `ActiveGraph`; the
     source must be active.
     """
-    dist = shortest_path(_oracle_input(graph, active, source), method="D",
-                         unweighted=True, indices=source)
-    return dist.tolist()
+    return hop_distances(_search_graph(graph, active, source), source).tolist()
 
 
 def centralized_min_exposure(graph: CommGraph, active, source: NodeId,
@@ -271,7 +262,7 @@ def centralized_min_exposure(graph: CommGraph, active, source: NodeId,
     stay explicit entries, which csgraph keeps as edges.  `active` is a node
     set or an `ActiveGraph`; the source must be active.
     """
-    mat = _oracle_input(graph, active, source)
+    mat = _search_graph(graph, active, source).matrix
     pot = np.asarray(potentials, dtype=np.float64)
     n = graph.n
     with_entry = csr_matrix(

@@ -6,8 +6,19 @@ sensors can talk iff their Euclidean distance is at most the radio range.  All
 randomness goes through numpy's seeded PCG64 generator, so a (n, r, seed)
 triple regenerates the identical field bit for bit.
 
-The graph is stored as CSR arrays, and every hop search in the package runs
-on `bfs_tree`, one level-synchronous numpy BFS over them.
+The graph is stored as CSR arrays, and hop searches run on one of two BFS
+engines over them:
+
+* `bfs_tree`, a level-synchronous numpy BFS over a node mask, serves
+  `hop_bfs` and the searches that need several sources, a depth cap or a
+  parent chain on a mask built for one use: the expanding-ring attach,
+  perimeter streets and street pruning.
+* `hop_distances`, scipy's `csgraph.breadth_first_order` on an
+  `ActiveGraph` (a node set's mask plus its induced matrix, built once and
+  reused), serves the single-source searches that run to full depth: the
+  skeleton hop flood, the centralized hop oracle, the potential phase and
+  the Voronoi hop tables.  Its cost follows the edges it reaches, so a
+  search over a skeleton costs time in proportion to the skeleton.
 """
 
 from __future__ import annotations
@@ -19,6 +30,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.spatial import cKDTree
 
 INF = math.inf
@@ -157,9 +169,62 @@ def node_mask(n: int, nodes: Collection[NodeId] | np.ndarray | None
     return mask
 
 
+@dataclass(frozen=True, eq=False)
+class ActiveGraph:
+    """A node set as a mask plus its induced unit-weight csgraph matrix."""
+
+    mask: np.ndarray
+    matrix: csr_matrix
+
+    @cached_property
+    def component_sizes(self) -> np.ndarray:
+        """Per node, the size of its connected component (inactive: 1).
+
+        A search from an active node reaches exactly its component.
+        """
+        _, labels = connected_components(self.matrix, directed=False)
+        return np.bincount(labels)[labels]
+
+
+def active_graph(graph: CommGraph, active) -> ActiveGraph:
+    """The search graph of a node set (None: every node); build it once.
+
+    An `ActiveGraph` passes through unchanged.
+    """
+    if isinstance(active, ActiveGraph):
+        return active
+    mask = node_mask(graph.n, active)
+    return ActiveGraph(mask=mask, matrix=graph.induced(mask))
+
+
+def hop_distances(search: ActiveGraph, source: NodeId) -> np.ndarray:
+    """Float64 hop distances from source in the active set (inf: unreached).
+
+    One csgraph BFS gives the reached nodes in visiting order.  Along that
+    order the predecessors' positions never decrease, so level d + 1 ends
+    where the predecessors leave level d: one binary search per level.
+    """
+    order, pred = breadth_first_order(search.matrix, source, directed=True,
+                                      return_predecessors=True)
+    pos = np.empty(len(search.mask), dtype=np.int64)
+    pos[order] = np.arange(order.size)
+    up = pos[pred[order[1:]]]  # predecessor position of order[1:]
+    depth = np.zeros(order.size)
+    end = 1  # level 0 is order[:1], the source
+    level = 0
+    while end < order.size:
+        nxt = int(np.searchsorted(up, end)) + 1
+        level += 1
+        depth[end:nxt] = level
+        end = nxt
+    dist = np.full(len(search.mask), INF)
+    dist[order] = depth
+    return dist
+
+
 def bfs_tree(graph: CommGraph, sources, allowed: np.ndarray | None = None,
              max_depth: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Level-synchronous BFS over the CSR arrays: the package's one BFS.
+    """Level-synchronous BFS over the CSR arrays, with a mask.
 
     Sources sit at depth 0 even outside `allowed` (None allows every node);
     other nodes are entered only if allowed, and no deeper than max_depth.

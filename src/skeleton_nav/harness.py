@@ -19,16 +19,15 @@ from scipy.sparse.csgraph import connected_components
 
 from .danger import DangerZone, PotentialModel, ZoneSpec, node_in_zone, \
     parse_zone, zone_node_mask
-from .field import CommGraph, SensorField, build_comm_graph, generate_field, \
-    nearest_node, node_mask
+from .field import ActiveGraph, CommGraph, SensorField, active_graph, \
+    build_comm_graph, generate_field, nearest_node
 from .skeleton import Provenance, SkeletonGraph, attach_offstreet_endpoints, \
     default_street_width
 from .uniform import UniformStreetConfig, build_uniform_skeleton
 from .adaptive import build_adaptive_skeleton, build_quadtree, \
     detect_voronoi_nodes, embed_voronoi_streets
-from .distsim import INF, ActiveGraph, active_graph, centralized_bfs, \
-    centralized_min_exposure, extract_path, run_bfs_flood, run_min_exposure, \
-    run_potential_phase
+from .distsim import INF, centralized_bfs, centralized_min_exposure, \
+    extract_path, run_bfs_flood, run_min_exposure, run_potential_phase
 
 ZONE_KINDS = ("none", "simple", "complex", "points")
 SKELETON_KINDS = ("full", "uniform", "adaptive")
@@ -248,7 +247,11 @@ class World:
 
     @cached_property
     def oracle(self) -> ActiveGraph:
-        """The oracles' input over the active set, built on first use."""
+        """The oracles' input over the active set, built on first use.
+
+        `build_world` sets it up front when the potential phase already
+        built one, so the active set is never induced twice.
+        """
         return active_graph(self.graph, self.active)
 
 
@@ -301,7 +304,10 @@ def make_zone(s: Scenario, side: float) -> tuple[DangerZone | None,
 
 
 def build_world(s: Scenario) -> World:
-    """Field, graph, zone, skeleton, and (if needed) the potential field."""
+    """Field, graph, zone, skeleton, and (if needed) the potential field.
+
+    Raises ScenarioError when the Voronoi band comes out degenerate.
+    """
     s.validate()
     f = generate_field(s.n, s.radio_range, s.seed)
     g = build_comm_graph(f)
@@ -312,9 +318,11 @@ def build_world(s: Scenario) -> World:
     potentials = None
     pot_packets = 0
     phase = None
+    oracle = None
     if "exposure" in s.metrics:
         assert model is not None  # validate() ties exposure to points zones
-        phase = run_potential_phase(g, outside, model)
+        oracle = active_graph(g, outside)
+        phase = run_potential_phase(g, oracle, model)
         potentials = phase.potentials
         pot_packets = phase.packets
 
@@ -332,11 +340,20 @@ def build_world(s: Scenario) -> World:
         if s.voronoi:
             tables = phase.distance_tables if phase is not None else None
             band = detect_voronoi_nodes(
-                g, model.sources, active=active, distance_tables=tables)
+                g, model.sources, active=outside, distance_tables=tables)
+            if band.degenerate:
+                raise ScenarioError(
+                    f"degenerate Voronoi band: {len(band.nodes)} of "
+                    f"{len(active)} active nodes are about equally far from "
+                    "two danger points, so its streets would wake nearly "
+                    "the whole network")
             sk = embed_voronoi_streets(sk, band)
-    return World(scenario=s, field=f, graph=g, zone=zone, active=active,
-                 skeleton=sk, potentials=potentials,
-                 potential_packets=pot_packets)
+    world = World(scenario=s, field=f, graph=g, zone=zone, active=active,
+                  skeleton=sk, potentials=potentials,
+                  potential_packets=pot_packets)
+    if oracle is not None:
+        world.oracle = oracle  # fills the cached property
+    return world
 
 
 def _main_street_component(sk: SkeletonGraph) -> list[int]:
@@ -348,9 +365,9 @@ def _main_street_component(sk: SkeletonGraph) -> list[int]:
     component counts as addressable street.  Ties go to the component
     containing the lowest node id.
     """
-    awake = node_mask(sk.graph.n, sk.awake)
-    _, labels = connected_components(sk.graph.induced(awake), directed=False)
-    ids = np.flatnonzero(awake)
+    search = sk.search
+    _, labels = connected_components(search.matrix, directed=False)
+    ids = np.flatnonzero(search.mask)
     comp = labels[ids]
     size = np.bincount(comp)[comp]
     # ids ascend, so argmax picks the largest component holding the lowest id
@@ -427,11 +444,11 @@ def run_query(world: World, index: int, src: int, dst: int) -> MetricsRecord:
     reach_full = reach_sg = False
 
     if "path" in s.metrics:
-        run = run_bfs_flood(g, sk.awake, src)
+        run = run_bfs_flood(g, sk.search, src)
         pk_sg += run.total_packets
         res = extract_path(run, dst, g)
         dist_full = centralized_bfs(g, world.oracle, src)
-        pk_full += g.n - dist_full.count(INF)
+        pk_full += int(world.oracle.component_sizes[src])
         reach_full = dist_full[dst] != INF
         reach_sg = res.reachable
         if reach_full:
@@ -447,7 +464,7 @@ def run_query(world: World, index: int, src: int, dst: int) -> MetricsRecord:
 
     if "exposure" in s.metrics:
         pot = world.potentials
-        run = run_min_exposure(g, sk.awake, src, pot)
+        run = run_min_exposure(g, sk.search, src, pot)
         pk_sg += run.total_packets
         res = extract_path(run, dst, g, potentials=pot)
         best = centralized_min_exposure(g, world.oracle, src, pot)

@@ -14,7 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .field import CommGraph, NodeId, bfs_tree, node_mask
+from .field import ActiveGraph, CommGraph, NodeId, active_graph, bfs_tree, \
+    node_mask
 
 
 class Provenance(Enum):
@@ -56,6 +57,15 @@ class SkeletonGraph:
     def neighbors(self, node: NodeId) -> list[NodeId]:
         awake = self.awake
         return [v for v in self.graph.neighbors(node) if v in awake]
+
+    @cached_property
+    def search(self) -> ActiveGraph:
+        """The awake set as a search graph, built on first use.
+
+        Skeleton floods pass it in place of the awake set.  A copy made by
+        `with_connectors` has its own awake set and builds its own.
+        """
+        return active_graph(self.graph, self.awake)
 
     @cached_property
     def adjacency(self) -> dict[NodeId, tuple[NodeId, ...]]:

@@ -12,7 +12,7 @@ import pytest
 import skeleton_nav.cli as cli
 import skeleton_nav.harness as harness
 from skeleton_nav.danger import DangerZone
-from skeleton_nav.distsim import centralized_bfs
+from skeleton_nav.distsim import centralized_bfs, extract_path, run_bfs_flood
 from skeleton_nav.field import SensorField, build_comm_graph
 from skeleton_nav.harness import (
     CSV_COLUMNS,
@@ -375,3 +375,38 @@ def test_cli_error_exit_codes(tmp_path, capsys, monkeypatch, scenario_file):
                             InvariantViolation("synthetic")))
     assert cli.main(["run", str(scenario_file)]) == 2
     assert "invariant" in capsys.readouterr().err
+
+
+def test_degenerate_voronoi_band_is_rejected(tmp_path, capsys):
+    # an 8-unit field is about three hops across, so nearly every node is
+    # equally far from both danger points
+    s = Scenario(n=64, seed=1, zone_kind="points", danger_count=2,
+                 danger_seed=1, skeleton="adaptive", voronoi=True,
+                 metrics=("exposure",), queries=2)
+    with pytest.raises(ScenarioError, match="degenerate Voronoi band"):
+        build_world(s)
+    path = tmp_path / "degenerate.scenario"
+    save_scenario(s, path)
+    assert cli.main(["run", str(path)]) == 1
+    assert "degenerate Voronoi band" in capsys.readouterr().err
+
+
+def test_offstreet_source_floods_the_attached_skeleton():
+    world = build_world(Scenario(n=1024, seed=3, zone_kind="simple",
+                                 skeleton="adaptive"))
+    g, sk = world.graph, world.skeleton
+    base_search = sk.search  # cached before any query, as sampling does
+    dst = harness._main_street_component(sk)[0]
+    for src in sorted(world.active - sk.awake):
+        attach = attach_offstreet_endpoints(g, sk, src, dst)
+        flood = run_bfs_flood(g, attach.skeleton.awake, src)
+        if attach.src_attached and flood.value[dst] != INF:
+            break
+    assert attach.packets > 0 and src not in sk.awake
+    rec = run_query(world, 0, src, dst)
+    assert rec.packets_attach == attach.packets
+    assert rec.reachable_sg
+    assert rec.packets_sg == flood.total_packets
+    assert rec.hops_sg == extract_path(flood, dst, g).hops
+    assert sk.search is base_search
+    assert attach.skeleton.search is not base_search
