@@ -5,12 +5,18 @@ The field square is carved by a quadtree whose cells split wherever the
 boundaries become the streets; sensors within half a street width of their
 leaf's boundary stay awake.  For point dangers the tree refines around the
 points and hop-equidistant sensors form Voronoi streets between them.
+
+Every leaf is an aligned block of unit cells, so a tree keeps one table
+holding each unit cell's leaf index.  Locating a point's leaf is a clamp,
+a floor and one table read, never a walk down the tree, and the skeleton
+build locates all sensors at once with array operations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
@@ -160,17 +166,35 @@ class Quadtree:
     def levels(self) -> int:
         return self.root.level
 
+    @cached_property
+    def cell_leaf(self) -> np.ndarray:
+        """Per unit cell, indexed [x, y], the index of its leaf in `leaves`.
+
+        Leaves tile the tree in aligned blocks, so one slice assignment per
+        leaf fills the table; it is built on first use and read-only.
+        """
+        table = np.empty((self.side, self.side), dtype=np.int32)
+        for k, leaf in enumerate(self.leaves):
+            s = leaf.size
+            table[leaf.x0:leaf.x0 + s, leaf.y0:leaf.y0 + s] = k
+        table.setflags(write=False)
+        return table
+
+    def leaf_index(self, x, y) -> np.ndarray:
+        """Indices into `leaves` of the leaves holding the points (x, y).
+
+        Points beyond the tree clamp onto its edge.  A point on an internal
+        edge lies in the upper cell, since floor sends an integer to the
+        cell that starts there.
+        """
+        hi = self.side - _GRID_EPS
+        cx = np.floor(np.minimum(np.maximum(x, 0.0), hi)).astype(np.intp)
+        cy = np.floor(np.minimum(np.maximum(y, 0.0), hi)).astype(np.intp)
+        return self.cell_leaf[cx, cy]
+
     def leaf_at(self, x: float, y: float) -> QuadCell:
         """Leaf cell containing the point; edge points go to the upper cell."""
-        cell = self.root
-        cx = min(max(x, 0.0), self.side - _GRID_EPS)
-        cy = min(max(y, 0.0), self.side - _GRID_EPS)
-        while cell.children is not None:
-            h = cell.size // 2
-            ix = 1 if cx >= cell.x0 + h else 0
-            iy = 1 if cy >= cell.y0 + h else 0
-            cell = cell.children[ix + 2 * iy]
-        return cell
+        return self.leaves[int(self.leaf_index(x, y))]
 
     def enclosing_cell(self, x: float, y: float) -> tuple[float, float, float, float]:
         leaf = self.leaf_at(x, y)
@@ -223,6 +247,21 @@ def _merge_spans(spans: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return out
 
 
+def _refine(tester: _CrossTester, level: int, x0: int, y0: int) -> QuadCell:
+    """The cell at (level, x0, y0), split down to every crossed unit cell."""
+    crossed = tester.crossed(x0, y0, 1 << level)
+    cell = QuadCell(level=level, x0=x0, y0=y0, crossed=crossed)
+    if crossed and level > 0:
+        h = 1 << (level - 1)
+        cell.children = (
+            _refine(tester, level - 1, x0, y0),
+            _refine(tester, level - 1, x0 + h, y0),
+            _refine(tester, level - 1, x0, y0 + h),
+            _refine(tester, level - 1, x0 + h, y0 + h),
+        )
+    return cell
+
+
 def build_quadtree(zones, side: float) -> Quadtree:
     """Refine the field around the zone boundary, unit cells at the finest.
 
@@ -234,22 +273,10 @@ def build_quadtree(zones, side: float) -> Quadtree:
     zones = [z for z in zones if z is not None]
     side_i = _pow2_side(side)
     levels = side_i.bit_length() - 1
-    tester = _CrossTester(zones, side_i)
-
-    def build(level: int, x0: int, y0: int) -> QuadCell:
-        crossed = tester.crossed(x0, y0, 1 << level)
-        cell = QuadCell(level=level, x0=x0, y0=y0, crossed=crossed)
-        if crossed and level > 0:
-            h = 1 << (level - 1)
-            cell.children = (
-                build(level - 1, x0, y0),
-                build(level - 1, x0 + h, y0),
-                build(level - 1, x0, y0 + h),
-                build(level - 1, x0 + h, y0 + h),
-            )
-        return cell
-
-    root = build(levels, 0, 0)
+    # a module-level recursion, not a nested one: a closure that calls
+    # itself is a reference cycle, which would keep the tester's prefix
+    # sums alive until the next garbage collection
+    root = _refine(_CrossTester(zones, side_i), levels, 0, 0)
     leaves: list[QuadCell] = []
     stack = [root]
     while stack:
@@ -272,19 +299,17 @@ def build_adaptive_skeleton(graph: CommGraph, zone: DangerZone | None,
         width = default_street_width(fld.radio_range)
     half = width / 2.0
 
+    x, y = fld.positions.T
     mask = zone_node_mask(zone, fld.positions)
-    awake = set()
-    for i in range(fld.n):
-        if mask[i]:
-            continue
-        x, y = fld.positions[i]
-        leaf = tree.leaf_at(float(x), float(y))
-        s = leaf.size
-        margin = min(x - leaf.x0, leaf.x0 + s - x, y - leaf.y0, leaf.y0 + s - y)
-        if margin <= half:
-            awake.add(i)
+    corners = np.array([(leaf.x0, leaf.y0, leaf.size) for leaf in tree.leaves])
+    x0, y0, s = corners[tree.leaf_index(x, y)].T
+    # margins come from the unclamped positions: a sensor beyond the tree
+    # gets a negative margin and wakes
+    margin = np.minimum(np.minimum(x - x0, (x0 + s) - x),
+                        np.minimum(y - y0, (y0 + s) - y))
+    awake = np.flatnonzero(~mask & (margin <= half)).tolist()
     blocked = frozenset(np.flatnonzero(mask).tolist())
-    provenance = {v: Provenance.QUADTREE_EDGE for v in awake}
+    provenance = dict.fromkeys(awake, Provenance.QUADTREE_EDGE)
     return SkeletonGraph(graph=graph, awake=frozenset(awake),
                          provenance=provenance, construction="adaptive",
                          blocked=blocked, geometry=tree)
@@ -422,11 +447,10 @@ def detect_voronoi_nodes(graph: CommGraph, sources, active=None,
         pts = np.asarray(sources, dtype=np.float64)
         if pts.ndim != 2 or len(pts) < 2:
             raise ValueError("need at least two danger points")
-        cand = ids.tolist()
         search = active_graph(graph, mask)
         distance_tables = []
         for p in pts:
-            src = nearest_node(graph.field, (float(p[0]), float(p[1])), cand)
+            src = nearest_node(graph.field, (float(p[0]), float(p[1])), ids)
             distance_tables.append(hop_distances(search, src))
     if len(distance_tables) < 2:
         raise ValueError("need at least two danger points")

@@ -57,7 +57,6 @@ class SimRun:
     parent: list[NodeId]
     transmissions: list[int]
     rounds: int
-    converged: bool = True
 
     @cached_property
     def total_packets(self) -> int:
@@ -187,8 +186,8 @@ def run_potential_phase(graph: CommGraph, active, model: PotentialModel
     `active` is a node set or an `ActiveGraph`.
     """
     active = active_graph(graph, active)
-    candidates = np.flatnonzero(active.mask).tolist()
-    if not candidates:
+    candidates = np.flatnonzero(active.mask)
+    if not candidates.size:
         raise ValueError("no active nodes to flood")
     source_nodes = []
     tables = []

@@ -24,7 +24,7 @@ engines over them:
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Collection, Iterable
+from collections.abc import Callable, Collection, Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -272,18 +272,22 @@ def hop_bfs(graph: CommGraph, source: NodeId,
 
 
 def nearest_node(field: SensorField, point: tuple[float, float],
-                 candidates: Iterable[NodeId] | None = None) -> NodeId:
-    """Closest sensor to an arbitrary point; ties go to the lowest id."""
+                 candidates: Sequence[NodeId] | np.ndarray | None = None
+                 ) -> NodeId:
+    """Closest sensor to an arbitrary point; ties go to the lowest id.
+
+    Candidates may come in any order.  Callers that snap many points to the
+    same candidates pass them as one int array, built once.
+    """
     if candidates is None:
         ids = np.arange(field.n)
     else:
-        ids = np.asarray(sorted(candidates), dtype=np.int64)
+        ids = np.asarray(candidates, dtype=np.int64)
     if ids.size == 0:
         raise ValueError("no candidate nodes")
     diff = field.positions[ids] - np.asarray(point, dtype=np.float64)
     d2 = diff[:, 0] ** 2 + diff[:, 1] ** 2
-    # argmin takes the first minimum, which is the lowest id on a tie
-    return int(ids[int(np.argmin(d2))])
+    return int(ids[d2 == d2.min()].min())
 
 
 def is_connected(graph: CommGraph) -> bool:

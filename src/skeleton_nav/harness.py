@@ -388,7 +388,7 @@ def sample_queries(world: World) -> list[tuple[int, int]]:
     """
     s = world.scenario
     rng = np.random.default_rng(s.query_seed)
-    cand = _main_street_component(world.skeleton)
+    cand = np.asarray(_main_street_component(world.skeleton))
     zone = world.zone
     side = world.field.side
     pairs: list[tuple[int, int]] = []

@@ -6,7 +6,9 @@ These loops walk the tuple-of-tuples adjacency (`CommGraph.adj`) one
 neighbour at a time instead.  `centralized_bfs` and
 `centralized_min_exposure` are the package's former oracles, unchanged;
 `reference_bfs` is the hand-written level loop the kernel replaced,
-generalized to several sources and a depth cap.
+generalized to several sources and a depth cap.  `reference_leaf_at` and
+`reference_adaptive_awake` are the quadtree walk and the per-sensor loop
+that the unit-cell leaf table replaced.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
+from skeleton_nav.adaptive import QuadCell, Quadtree
+from skeleton_nav.danger import zone_node_mask
 from skeleton_nav.field import CommGraph, NodeId
 
 INF = math.inf
@@ -94,3 +98,34 @@ def centralized_min_exposure(graph: CommGraph, active, source: NodeId,
                 best[v] = cand
                 heapq.heappush(heap, (cand, v))
     return best
+
+
+def reference_leaf_at(tree: Quadtree, x: float, y: float) -> QuadCell:
+    """Walk from the root; clamp onto the tree, edge points go up."""
+    cell = tree.root
+    cx = min(max(x, 0.0), tree.side - 1e-9)
+    cy = min(max(y, 0.0), tree.side - 1e-9)
+    while cell.children is not None:
+        h = cell.size // 2
+        ix = 1 if cx >= cell.x0 + h else 0
+        iy = 1 if cy >= cell.y0 + h else 0
+        cell = cell.children[ix + 2 * iy]
+    return cell
+
+
+def reference_adaptive_awake(graph: CommGraph, zone, tree: Quadtree,
+                             width: float) -> frozenset[NodeId]:
+    """Sensors outside the zone within width / 2 of their leaf's boundary."""
+    half = width / 2.0
+    mask = zone_node_mask(zone, graph.field.positions)
+    awake = set()
+    for i in range(graph.n):
+        if mask[i]:
+            continue
+        x, y = graph.field.positions[i]
+        leaf = reference_leaf_at(tree, float(x), float(y))
+        s = leaf.size
+        margin = min(x - leaf.x0, leaf.x0 + s - x, y - leaf.y0, leaf.y0 + s - y)
+        if margin <= half:
+            awake.add(i)
+    return frozenset(awake)

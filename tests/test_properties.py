@@ -5,10 +5,14 @@ isolated components, random active masks, and potentials with zeros.  The
 BFS kernel and the csgraph oracles must match `reference_oracles` exactly.
 Depth recovery from the csgraph BFS order is also checked on long paths and
 grids, whose many levels give many level boundaries, and skeleton floods on
-a cached search graph must equal floods given the awake node set.
+a cached search graph must equal floods given the awake node set.  The
+quadtree's unit-cell leaf table must locate leaves and wake sensors exactly
+as the tree walk and the per-sensor loop do.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -16,11 +20,15 @@ from hypothesis import given, settings, strategies as st
 from reference_oracles import centralized_bfs as reference_centralized_bfs
 from reference_oracles import centralized_min_exposure as \
     reference_min_exposure
-from reference_oracles import reference_bfs
+from reference_oracles import reference_adaptive_awake, reference_bfs, \
+    reference_leaf_at
+from skeleton_nav.adaptive import build_adaptive_skeleton, build_quadtree
+from skeleton_nav.danger import DangerZone, zone_node_mask
 from skeleton_nav.distsim import active_graph, centralized_bfs, \
     centralized_min_exposure, run_bfs_flood, run_min_exposure
 from skeleton_nav.field import SensorField, bfs_tree, build_comm_graph, \
     generate_field, hop_distances
+from skeleton_nav.harness import fixture_zone
 from skeleton_nav.skeleton import Provenance, SkeletonGraph
 
 EXAMPLES = settings(max_examples=200, deadline=None)
@@ -171,3 +179,61 @@ def test_floods_on_search_graph_equal_node_set_floods(inst):
         plain = run_min_exposure(g, skel.awake, src, pot, trace=again.append)
         assert _run_fields(cached) == _run_fields(plain)
         assert lines == again
+
+
+@st.composite
+def leaf_table_cases(draw):
+    """A zone, its quadtree, a street width and sensor positions.
+
+    Field sides come from n: at n = 1056 the tree (side 32) stops short of
+    the field, at n = 1090 it (side 64) reaches past it.  Besides uniform
+    positions, sensors sit on the edges and corners of random leaves,
+    exactly half a width inside a leaf edge, and beyond the field on every
+    side.  Widths k / 32 make those margins equal half a width exactly.
+    """
+    n = draw(st.one_of(st.sampled_from((72, 272, 1056, 1090)),
+                       st.integers(16, 1100)))
+    side = math.sqrt(n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    kind = draw(st.sampled_from(("none", "simple", "complex", "points")))
+    if kind == "none":
+        zone = None
+    elif kind == "points":
+        zone = DangerZone.point_set(
+            rng.uniform(0.0, side, size=(int(rng.integers(1, 6)), 2)))
+    else:
+        zone = fixture_zone(kind).zone
+    tree = build_quadtree([] if zone is None else zone, side)
+    width = draw(st.one_of(st.integers(1, 96).map(lambda k: k / 32),
+                           st.floats(0.05, 3.0)))
+    half = width / 2.0
+    far = max(side, tree.side) + 1.0
+    pts = [rng.uniform(0.0, side, size=(int(rng.integers(0, 60)), 2)),
+           rng.uniform(-1.0, far, size=(8, 2))]
+    for k in rng.integers(len(tree.leaves), size=20):
+        leaf = tree.leaves[k]
+        a, c = leaf.x0, leaf.y0
+        b, d = a + leaf.size, c + leaf.size
+        u, v = rng.uniform(a, b), rng.uniform(c, d)
+        mx, my = (a + b) / 2.0, (c + d) / 2.0
+        pts.append([(a, v), (b, v), (u, c), (u, d), (a, c),
+                    (a + half, my), (b - half, my), (mx, c + half),
+                    (mx, d - half)])
+    pos = np.vstack(pts).astype(np.float64)
+    g = build_comm_graph(SensorField(n=len(pos), side=side, radio_range=1.0,
+                                     seed=0, positions=pos))
+    return g, zone, tree, width
+
+
+@EXAMPLES
+@given(leaf_table_cases())
+def test_leaf_table_equals_tree_walk(case):
+    g, zone, tree, width = case
+    sk = build_adaptive_skeleton(g, zone, tree=tree, width=width)
+    assert sk.awake == reference_adaptive_awake(g, zone, tree, width)
+    assert sk.provenance == dict.fromkeys(sk.awake,
+                                          Provenance.QUADTREE_EDGE)
+    mask = zone_node_mask(zone, g.field.positions)
+    assert sk.blocked == frozenset(np.flatnonzero(mask).tolist())
+    for x, y in g.field.positions.tolist():
+        assert tree.leaf_at(x, y) is reference_leaf_at(tree, x, y)

@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from reference_oracles import reference_adaptive_awake
 from skeleton_nav.adaptive import (
     Cluster,
     build_adaptive_skeleton,
@@ -206,19 +207,8 @@ def test_fixture_skeleton_wakes_leaf_margins(graph_cache):
     mask = zone_node_mask(zone, g.field.positions)
     assert sk.blocked == frozenset(np.flatnonzero(mask).tolist())
     assert not (sk.awake & sk.blocked)
-    tree = sk.geometry
-    half = 1.0 / 3.0
-    expect = set()
-    for i in range(g.n):
-        if mask[i]:
-            continue
-        x, y = g.field.positions[i]
-        leaf = tree.leaf_at(float(x), float(y))
-        s = leaf.size
-        m = min(x - leaf.x0, leaf.x0 + s - x, y - leaf.y0, leaf.y0 + s - y)
-        if m <= half:
-            expect.add(i)
-    assert set(sk.awake) == expect
+    assert sk.awake == reference_adaptive_awake(g, zone, sk.geometry,
+                                                2.0 / 3.0)
 
 
 def test_cluster_membership_and_leaders(graph_cache):
