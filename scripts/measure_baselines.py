@@ -7,12 +7,14 @@ with a margin.  Run a section again before touching a constant:
     python3 scripts/measure_baselines.py --section sizes --section stretch
 
 With no --section the whole sweep runs; the gate-level sections take
-about a minute combined.
+about a minute combined.  The census-scaling section builds worlds up to
+n = 2^20 and prints the process's own peak RSS.
 """
 from __future__ import annotations
 
 import argparse
 import math
+import resource
 import time
 
 import numpy as np
@@ -30,7 +32,7 @@ from skeleton_nav.field import (SensorField, build_comm_graph,
                                 connectivity_census, generate_field, hop_bfs)
 from skeleton_nav.harness import (Scenario, auto_tune_epsilon, build_world,
                                   fixture_zone, run_query, run_scenario,
-                                  sample_queries)
+                                  sample_queries, size_census)
 from skeleton_nav.skeleton import attach_offstreet_endpoints
 from skeleton_nav.uniform import (UniformStreetConfig, build_uniform_skeleton,
                                   prune_street)
@@ -391,8 +393,32 @@ def section_oracles():
     print("mismatching runs:", bad, "of 100")
 
 
+def section_census_scaling():
+    print("== size census, complex zone, n = 2^10 .. 2^20, seeds 1 and 2 ==")
+    ns = [2 ** k for k in range(10, 21, 2)]
+    for construction in ("adaptive", "uniform"):
+        means = []
+        for n in ns:
+            s = Scenario(n=n, seed=1, zone_kind="complex",
+                         skeleton=construction, epsilon=1 / 6)
+            t0 = time.perf_counter()
+            census = size_census(s, 2)
+            ms = (time.perf_counter() - t0) * 1e3 / 2
+            means.append(census["mean"])
+            peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+            fractions = ", ".join(f"{f:.4f}" for f in census["fractions"])
+            print(f"{construction} n=2^{n.bit_length() - 1}: sizes "
+                  f"{census['sizes']} fractions [{fractions}] "
+                  f"{ms:.0f} ms per world, peak RSS so far {peak:.0f} MB")
+        logs = np.log(ns), np.log(means)
+        local = np.diff(logs[1]) / np.diff(logs[0])
+        print(f"{construction} log-log slope {np.polyfit(*logs, 1)[0]:.3f}; "
+              "per step " + " ".join(f"{x:.3f}" for x in local))
+
+
 SECTIONS = {
     "census": section_census,
+    "census-scaling": section_census_scaling,
     "grid": section_grid,
     "voronoi": section_voronoi,
     "quadtree": section_quadtree,

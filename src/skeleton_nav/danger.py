@@ -75,11 +75,18 @@ def _validated_polygon(verts: np.ndarray) -> np.ndarray:
     area2 = _signed_area2(verts)
     if abs(area2) < 1e-12:
         raise ValueError("degenerate polygon (zero area)")
+    if _edge_lengths(verts).min() == 0.0:
+        # the on-edge test would put every point on a zero-length edge
+        raise ValueError("degenerate polygon (repeated vertex)")
     if area2 < 0:
         verts = verts[::-1].copy()  # store counter-clockwise
     if _self_intersects(verts):
         raise ValueError("polygon boundary self-intersects")
     return np.ascontiguousarray(verts)
+
+
+def _edge_lengths(verts: np.ndarray) -> np.ndarray:
+    return np.hypot(*(np.roll(verts, -1, axis=0) - verts).T)
 
 
 def _signed_area2(verts: np.ndarray) -> float:
@@ -155,24 +162,48 @@ def node_in_zone(zone: DangerZone, point: tuple[float, float]) -> bool:
     return inside
 
 
+def boundary_tolerance(zone: DangerZone) -> float:
+    """How far outside the polygon a point can lie and still count as in it.
+
+    The on-edge test accepts points within sqrt(_EDGE_EPS) of an edge's
+    line and up to _EDGE_EPS / |edge| beyond its ends, so the shortest edge
+    sets the bound; it is doubled against rounding.
+    """
+    shortest = float(_edge_lengths(zone.vertices).min())
+    return 2.0 * (math.sqrt(_EDGE_EPS) + _EDGE_EPS / shortest)
+
+
+def ids_in_box(pts: np.ndarray, verts: np.ndarray,
+               margin: float) -> np.ndarray:
+    """Ids of the points in the vertices' bounding box widened by margin."""
+    (x0, y0), (x1, y1) = verts.min(axis=0) - margin, verts.max(axis=0) + margin
+    x, y = pts[:, 0], pts[:, 1]
+    return np.flatnonzero((x >= x0) & (x <= x1) & (y >= y0) & (y <= y1))
+
+
 def points_in_region(zone: DangerZone, pts: np.ndarray) -> np.ndarray:
-    """Vectorized membership test for many points (boundary inclusive)."""
+    """Vectorized membership test for many points (boundary inclusive).
+
+    Only points inside the polygon's bounding box, widened by its
+    `boundary_tolerance`, are tested: every point beyond it is outside.
+    """
     if zone.kind != "region":
         raise ValueError("point-set zones have no interior")
     pts = np.asarray(pts, dtype=np.float64)
-    x = pts[:, 0]
-    y = pts[:, 1]
     verts = zone.vertices
+    near = ids_in_box(pts, verts, boundary_tolerance(zone))
+    x = pts[near, 0]
+    y = pts[near, 1]
     m = len(verts)
-    inside = np.zeros(len(pts), dtype=bool)
-    on_edge = np.zeros(len(pts), dtype=bool)
+    inside = np.zeros(len(near), dtype=bool)
+    on_edge = np.zeros(len(near), dtype=bool)
     for i in range(m):
         x1, y1 = verts[i]
         x2, y2 = verts[(i + 1) % m]
         crosses = (y1 > y) != (y2 > y)
         if np.any(crosses):
             xi = x1 + (y[crosses] - y1) * (x2 - x1) / (y2 - y1)
-            flip = np.zeros(len(pts), dtype=bool)
+            flip = np.zeros(len(near), dtype=bool)
             flip[crosses] = x[crosses] < xi
             inside ^= flip
         seg2 = (x2 - x1) ** 2 + (y2 - y1) ** 2
@@ -180,7 +211,9 @@ def points_in_region(zone: DangerZone, pts: np.ndarray) -> np.ndarray:
         dot = (x - x1) * (x2 - x1) + (y - y1) * (y2 - y1)
         on_edge |= (cross * cross <= _EDGE_EPS * seg2) & \
                    (dot >= -_EDGE_EPS) & (dot <= seg2 + _EDGE_EPS)
-    return inside | on_edge
+    out = np.zeros(len(pts), dtype=bool)
+    out[near] = inside | on_edge
+    return out
 
 
 def zone_node_mask(zone: DangerZone | None, positions: np.ndarray) -> np.ndarray:
@@ -244,8 +277,7 @@ def path_exposure(model: PotentialModel, path_positions) -> float:
 def perimeter_length(zone: DangerZone) -> float:
     if zone.kind != "region":
         raise ValueError("point-set zones have no perimeter")
-    verts = zone.vertices
-    return float(np.hypot(*(np.roll(verts, -1, axis=0) - verts).T).sum())
+    return float(_edge_lengths(zone.vertices).sum())
 
 
 def _clip_segment_length(x1, y1, x2, y2, bx0, by0, bx1, by1) -> float:

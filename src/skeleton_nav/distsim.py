@@ -43,8 +43,6 @@ TraceFn = Callable[[str], None]
 class PacketKind(Enum):
     SEARCH = "search"            # plain hop-count flood
     EXPOSURE_SEARCH = "exposure" # accumulated-exposure flood
-    POTENTIAL_FLOOD = "potential"
-    WAKE_UP = "wakeup"
 
 
 @dataclass(eq=False)

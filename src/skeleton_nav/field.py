@@ -6,8 +6,9 @@ sensors can talk iff their Euclidean distance is at most the radio range.  All
 randomness goes through numpy's seeded PCG64 generator, so a (n, r, seed)
 triple regenerates the identical field bit for bit.
 
-The graph is stored as CSR arrays, and hop searches run on one of two BFS
-engines over them:
+The graph is stored as CSR arrays, built the first time a neighbour is
+asked for: a world whose skeleton needs only positions (a size census) never
+builds them.  Hop searches run on one of two BFS engines over them:
 
 * `bfs_tree`, a level-synchronous numpy BFS over a node mask, serves
   `hop_bfs` and the searches that need several sources, a depth cap or a
@@ -85,16 +86,30 @@ class CommGraph:
 
     Stored as CSR arrays: the neighbours of node u are
     ``indices[indptr[u]:indptr[u + 1]]``, sorted ascending, without self
-    loops.  Both arrays are read-only.
+    loops.  Both arrays are read-only and built together the first time
+    either is read.  A graph over `members` (sorted ids) holds only the
+    edges between members; every other row is empty.
     """
 
     field: SensorField
-    indptr: np.ndarray   # (n + 1,) int64 row offsets
-    indices: np.ndarray  # (2 * edges,) int32 neighbour ids
+    members: np.ndarray | None = None  # None: every sensor
 
-    def __post_init__(self) -> None:
-        for arr in (self.indptr, self.indices):
+    @cached_property
+    def _csr(self) -> tuple[np.ndarray, np.ndarray]:
+        indptr, indices = _csr_arrays(self.field, self.members)
+        for arr in (indptr, indices):
             arr.setflags(write=False)
+        return indptr, indices
+
+    @property
+    def indptr(self) -> np.ndarray:
+        """(n + 1,) int64 row offsets."""
+        return self._csr[0]
+
+    @property
+    def indices(self) -> np.ndarray:
+        """(2 * edges,) int32 neighbour ids."""
+        return self._csr[1]
 
     @property
     def n(self) -> int:
@@ -136,22 +151,41 @@ class CommGraph:
                           shape=(self.n, self.n))
 
 
-def build_comm_graph(field: SensorField) -> CommGraph:
-    """Connect every pair of sensors within radio range (inclusive).
+def _csr_arrays(field: SensorField, members: np.ndarray | None
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """CSR rows of every pair within radio range (inclusive), among members.
 
-    Uses a k-d tree for the pair query; the result is identical to the
-    quadratic all-pairs check.  Each pair becomes two directed entries,
-    sorted by (row, column) through one int64 key.
+    A k-d tree finds the pairs; the result is identical to the quadratic
+    all-pairs check.  Each pair becomes two directed entries, sorted by
+    (row, column) through one int64 key array that is filled, sorted and
+    reduced to columns in place, so the build holds little beyond the
+    pairs and the keys.
     """
     n = field.n
-    pairs = cKDTree(field.positions).query_pairs(field.radio_range,
-                                                output_type="ndarray")
-    i, j = pairs.T.astype(np.int64)
-    key = np.concatenate((i * n + j, j * n + i))
+    pos = field.positions if members is None else field.positions[members]
+    pairs = cKDTree(pos).query_pairs(field.radio_range, output_type="ndarray")
+    if members is not None:
+        pairs = members[pairs]
+    m = len(pairs)
+    key = np.empty(2 * m, dtype=np.int64)
+    forward, backward = key[:m], key[m:]  # i * n + j, then j * n + i
+    np.multiply(pairs[:, 0], n, out=forward)
+    forward += pairs[:, 1]
+    np.multiply(pairs[:, 1], n, out=backward)
+    backward += pairs[:, 0]
+    del pairs, forward, backward
     key.sort()
     indptr = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) * n)
-    return CommGraph(field=field, indptr=indptr,
-                     indices=(key % n).astype(np.int32))
+    np.remainder(key, n, out=key)
+    return indptr, key.astype(np.int32)
+
+
+def build_comm_graph(field: SensorField) -> CommGraph:
+    """The graph of every pair of sensors within radio range (inclusive).
+
+    The CSR arrays are built on first use, not here.
+    """
+    return CommGraph(field=field)
 
 
 BlockedSpec = Callable[[NodeId], bool] | Collection[NodeId] | None

@@ -529,10 +529,9 @@ def size_census(s: Scenario, seeds: int) -> dict:
     """Skeleton sizes over `seeds` consecutive seeds starting at s.seed."""
     if s.skeleton == "full":
         raise ScenarioError("size census needs a sparse skeleton kind")
-    sizes = []
-    for k in range(seeds):
-        world = build_world(replace(s, seed=s.seed + k, queries=0))
-        sizes.append(world.skeleton.size)
+    # no world outlives its size, so two are never held at once
+    sizes = [build_world(replace(s, seed=s.seed + k, queries=0)).skeleton.size
+             for k in range(seeds)]
     arr = np.asarray(sizes, dtype=float)
     return {
         "seeds": list(range(s.seed, s.seed + seeds)),

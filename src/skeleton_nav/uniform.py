@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .danger import DangerZone, boundary_nodes, zone_node_mask
+from .danger import DangerZone, boundary_nodes, boundary_tolerance, \
+    ids_in_box, zone_node_mask
 from .field import CommGraph, NodeId, bfs_tree, node_mask
 from .skeleton import Provenance, SkeletonGraph, default_street_width
 
@@ -113,12 +114,37 @@ def build_perimeter_streets(graph: CommGraph, zone: DangerZone,
 
     The in-zone boundary nodes are returned too (callers exclude the zone when
     assembling a skeleton); with width 0 the result is exactly the boundary.
+
+    Only the edges near the polygon are needed.  A boundary node and its
+    outside neighbour lie within r of the boundary, since the edge between
+    them crosses it, so a node d hops further out lies within (d + 1) r.
+    The search runs on the graph of the nodes that close, whose edges among
+    themselves are the full graph's, so `graph`'s own rows are never read.
     """
-    base = boundary_nodes(graph, zone)
-    outside = ~zone_node_mask(zone, graph.field.positions)
-    dist, _ = bfs_tree(graph, sorted(base), outside,
-                       max_depth=math.ceil(width))
+    fld = graph.field
+    depth = math.ceil(width)
+    radius = (depth + 1) * fld.radio_range + boundary_tolerance(zone)
+    band = CommGraph(field=fld,
+                     members=_near_boundary(zone, fld.positions, radius))
+    base = boundary_nodes(band, zone)
+    outside = ~zone_node_mask(zone, fld.positions)
+    dist, _ = bfs_tree(band, sorted(base), outside, max_depth=depth)
     return frozenset(np.flatnonzero(np.isfinite(dist)).tolist())
+
+
+def _near_boundary(zone: DangerZone, pos: np.ndarray,
+                   radius: float) -> np.ndarray:
+    """Sorted ids of the points within radius of the polygon's boundary."""
+    verts = zone.vertices
+    ids = ids_in_box(pos, verts, radius)
+    px, py = pos[ids].T
+    near = np.zeros(len(ids), dtype=bool)
+    for (x1, y1), (x2, y2) in zip(verts, np.roll(verts, -1, axis=0)):
+        dx, dy = x2 - x1, y2 - y1
+        t = np.clip(((px - x1) * dx + (py - y1) * dy) / (dx * dx + dy * dy),
+                    0.0, 1.0)
+        near |= np.hypot(px - (x1 + t * dx), py - (y1 + t * dy)) <= radius
+    return ids[near]
 
 
 def prune_street(graph: CommGraph, street: frozenset[NodeId],
@@ -154,11 +180,8 @@ def build_uniform_skeleton(graph: CommGraph, zone: DangerZone | None,
     lines_y = lines_x
 
     pos = fld.positions
-    lx = np.asarray(lines_x)
-    ly = np.asarray(lines_y)
-    near_x = np.min(np.abs(pos[:, 0][:, None] - lx[None, :]), axis=1) <= half
-    near_y = np.min(np.abs(pos[:, 1][:, None] - ly[None, :]), axis=1) <= half
-    on_street = near_x | near_y
+    on_street = (_near_line(pos[:, 0], lines_x, half)
+                 | _near_line(pos[:, 1], lines_y, half))
 
     in_zone = zone_node_mask(zone, pos)
     blocked = frozenset(np.flatnonzero(in_zone).tolist())
@@ -183,6 +206,20 @@ def build_uniform_skeleton(graph: CommGraph, zone: DangerZone | None,
     return SkeletonGraph(graph=graph, awake=frozenset(awake),
                          provenance=provenance, construction="uniform",
                          blocked=blocked, geometry=geometry)
+
+
+def _near_line(coord: np.ndarray, lines: list[float],
+               half: float) -> np.ndarray:
+    """Is each coordinate within half of its nearest line (lines sorted)?
+
+    The nearest line is one of the two that bracket the coordinate, so one
+    binary search replaces a distance to every line.
+    """
+    lines = np.asarray(lines)
+    k = np.searchsorted(lines, coord)
+    below = lines[np.maximum(k - 1, 0)]
+    above = lines[np.minimum(k, len(lines) - 1)]
+    return np.minimum(np.abs(coord - below), np.abs(coord - above)) <= half
 
 
 def _pruned_grid(graph: CommGraph, pos: np.ndarray, lines_x, lines_y,

@@ -8,7 +8,10 @@ neighbour at a time instead.  `centralized_bfs` and
 `reference_bfs` is the hand-written level loop the kernel replaced,
 generalized to several sources and a depth cap.  `reference_leaf_at` and
 `reference_adaptive_awake` are the quadtree walk and the per-sensor loop
-that the unit-cell leaf table replaced.
+that the unit-cell leaf table replaced.  `reference_points_in_region` is
+the zone test over every point, before the bounding-box prefilter, and
+`reference_perimeter_streets` the perimeter search over the full graph,
+before the boundary band.
 """
 
 from __future__ import annotations
@@ -16,9 +19,12 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
+import numpy as np
+
 from skeleton_nav.adaptive import QuadCell, Quadtree
-from skeleton_nav.danger import zone_node_mask
-from skeleton_nav.field import CommGraph, NodeId
+from skeleton_nav.danger import _EDGE_EPS, DangerZone, boundary_nodes, \
+    zone_node_mask
+from skeleton_nav.field import CommGraph, NodeId, bfs_tree
 
 INF = math.inf
 
@@ -129,3 +135,39 @@ def reference_adaptive_awake(graph: CommGraph, zone, tree: Quadtree,
         if margin <= half:
             awake.add(i)
     return frozenset(awake)
+
+
+def reference_points_in_region(zone: DangerZone, pts: np.ndarray) -> np.ndarray:
+    """Even-odd crossings plus the on-edge test, over every point."""
+    pts = np.asarray(pts, dtype=np.float64)
+    x = pts[:, 0]
+    y = pts[:, 1]
+    verts = zone.vertices
+    m = len(verts)
+    inside = np.zeros(len(pts), dtype=bool)
+    on_edge = np.zeros(len(pts), dtype=bool)
+    for i in range(m):
+        x1, y1 = verts[i]
+        x2, y2 = verts[(i + 1) % m]
+        crosses = (y1 > y) != (y2 > y)
+        if np.any(crosses):
+            xi = x1 + (y[crosses] - y1) * (x2 - x1) / (y2 - y1)
+            flip = np.zeros(len(pts), dtype=bool)
+            flip[crosses] = x[crosses] < xi
+            inside ^= flip
+        seg2 = (x2 - x1) ** 2 + (y2 - y1) ** 2
+        cross = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)
+        dot = (x - x1) * (x2 - x1) + (y - y1) * (y2 - y1)
+        on_edge |= (cross * cross <= _EDGE_EPS * seg2) & \
+                   (dot >= -_EDGE_EPS) & (dot <= seg2 + _EDGE_EPS)
+    return inside | on_edge
+
+
+def reference_perimeter_streets(graph: CommGraph, zone: DangerZone,
+                                width: float) -> frozenset[NodeId]:
+    """Boundary nodes of the full graph, then ceil(width) hops outside."""
+    base = boundary_nodes(graph, zone)
+    outside = ~zone_node_mask(zone, graph.field.positions)
+    dist, _ = bfs_tree(graph, sorted(base), outside,
+                       max_depth=math.ceil(width))
+    return frozenset(np.flatnonzero(np.isfinite(dist)).tolist())

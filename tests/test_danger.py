@@ -98,6 +98,8 @@ def test_degenerate_polygons_rejected():
         DangerZone.region([(0, 0), (1, 1), (2, 2)])          # zero area
     with pytest.raises(ValueError):
         DangerZone.region([(0, 0), (1, 1)])                  # too few
+    with pytest.raises(ValueError):
+        DangerZone.region([(0, 0), (1, 0), (1, 0), (0, 1)])  # repeated vertex
 
 
 def test_zone_kind_field_consistency():

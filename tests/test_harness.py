@@ -8,8 +8,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 import skeleton_nav.cli as cli
+import skeleton_nav.field as field_module
 import skeleton_nav.harness as harness
 from skeleton_nav.danger import DangerZone
 from skeleton_nav.distsim import centralized_bfs, extract_path, run_bfs_flood
@@ -312,6 +314,31 @@ def test_size_census():
     assert table["fractions"][0] == table["sizes"][0] / 1024
     with pytest.raises(ScenarioError):
         size_census(Scenario(skeleton="full"), 3)
+
+
+def test_census_worlds_never_build_the_comm_graph(monkeypatch):
+    """Skeleton sizes need positions only; the full CSR waits for a search."""
+    build_rows = field_module._csr_arrays
+
+    def rows_near_the_zone_only(fld, members):
+        if members is None:
+            raise AssertionError("the full comm graph was built")
+        return build_rows(fld, members)
+
+    cases = (("uniform", "complex"), ("adaptive", "complex"),
+             ("adaptive", "none"))
+    worlds = []
+    with monkeypatch.context() as patch:
+        patch.setattr(field_module, "_csr_arrays", rows_near_the_zone_only)
+        for skeleton, zone in cases:
+            s = Scenario(n=4096, seed=5, zone_kind=zone, skeleton=skeleton,
+                         epsilon=1 / 6, queries=0)
+            worlds.append(build_world(s))
+    positions = worlds[0].field.positions
+    eager = len(cKDTree(positions).query_pairs(3.0))
+    for world in worlds:
+        assert world.skeleton.size > 0
+        assert world.graph.edge_count() == eager
 
 
 def test_auto_tune_epsilon_hits_target():

@@ -7,7 +7,9 @@ Depth recovery from the csgraph BFS order is also checked on long paths and
 grids, whose many levels give many level boundaries, and skeleton floods on
 a cached search graph must equal floods given the awake node set.  The
 quadtree's unit-cell leaf table must locate leaves and wake sensors exactly
-as the tree walk and the per-sensor loop do.
+as the tree walk and the per-sensor loop do.  The zone test's bounding-box
+prefilter must keep every mask bit, and perimeter streets searched on a
+boundary band must equal the search on the full graph.
 """
 
 from __future__ import annotations
@@ -21,15 +23,17 @@ from reference_oracles import centralized_bfs as reference_centralized_bfs
 from reference_oracles import centralized_min_exposure as \
     reference_min_exposure
 from reference_oracles import reference_adaptive_awake, reference_bfs, \
-    reference_leaf_at
+    reference_leaf_at, reference_perimeter_streets, reference_points_in_region
 from skeleton_nav.adaptive import build_adaptive_skeleton, build_quadtree
-from skeleton_nav.danger import DangerZone, zone_node_mask
+from skeleton_nav.danger import _EDGE_EPS, DangerZone, points_in_region, \
+    zone_node_mask
 from skeleton_nav.distsim import active_graph, centralized_bfs, \
     centralized_min_exposure, run_bfs_flood, run_min_exposure
 from skeleton_nav.field import SensorField, bfs_tree, build_comm_graph, \
     generate_field, hop_distances
 from skeleton_nav.harness import fixture_zone
 from skeleton_nav.skeleton import Provenance, SkeletonGraph
+from skeleton_nav.uniform import build_perimeter_streets
 
 EXAMPLES = settings(max_examples=200, deadline=None)
 
@@ -237,3 +241,107 @@ def test_leaf_table_equals_tree_walk(case):
     assert sk.blocked == frozenset(np.flatnonzero(mask).tolist())
     for x, y in g.field.positions.tolist():
         assert tree.leaf_at(x, y) is reference_leaf_at(tree, x, y)
+
+
+def short_edge_polygon(draw, rng) -> np.ndarray:
+    """A triangle or a quad whose first edge is 1e-7 to 1e-2 long."""
+    short = 10.0 ** draw(st.integers(-7, -2))
+    theta = rng.uniform(0.0, 2 * math.pi)
+    along = np.array([math.cos(theta), math.sin(theta)])
+    perp = np.array([-along[1], along[0]])
+    a = rng.uniform(-5.0, 5.0, size=2)
+    b = a + short * along
+    h = rng.uniform(0.5, 5.0)
+    u1 = rng.uniform(-3.0, 3.0)
+    if draw(st.booleans()):
+        return np.array([a, b, a + h * perp + u1 * along])
+    u2 = u1 - rng.uniform(0.01, 3.0)  # d before c: the quad stays simple
+    return np.array([a, b, a + h * perp + u1 * along,
+                     a + h * perp + u2 * along])
+
+
+@st.composite
+def zone_mask_cases(draw):
+    """A polygon and points on, a hair off and around its edges and box.
+
+    Polygons are the fixtures, shifted copies of them, and triangles and
+    quads with a very short edge, whose on-edge test reaches up to
+    _EDGE_EPS / |edge| beyond the edge's ends.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    kind = draw(st.sampled_from(("simple", "complex", "short")))
+    if kind == "short":
+        verts = short_edge_polygon(draw, rng)
+    else:
+        verts = fixture_zone(kind).zone.vertices
+        if draw(st.booleans()):
+            verts = verts + rng.uniform(-30.0, 30.0, size=2)
+    zone = DangerZone.region(verts)
+    verts = zone.vertices
+    ends = np.roll(verts, -1, axis=0)
+    edge = ends - verts
+    length = np.hypot(*edge.T)[:, None]
+    unit = edge / length
+    normal = np.column_stack((unit[:, 1], -unit[:, 0]))
+    t = rng.random((len(verts), 1))
+    pts = [verts, verts + t * edge]
+    for k in (0.5, 0.9, 1.1, 2.0):
+        reach = k * _EDGE_EPS / length  # along the edge, beyond each end
+        pts += [ends + reach * unit, verts - reach * unit]
+        side = k * math.sqrt(_EDGE_EPS)  # across the edge, either way
+        pts += [verts + t * edge + side * normal,
+                verts + t * edge - side * normal]
+    lo, hi = verts.min(axis=0), verts.max(axis=0)
+    for hair in (0.0, 1e-12, 1e-6, 1e-4, 1e-2):
+        u = rng.uniform(lo, hi, size=(4, 2))
+        pts += [np.column_stack((np.full(4, lo[0] - hair), u[:, 1])),
+                np.column_stack((np.full(4, hi[0] + hair), u[:, 1])),
+                np.column_stack((u[:, 0], np.full(4, lo[1] - hair))),
+                np.column_stack((u[:, 0], np.full(4, hi[1] + hair)))]
+    pts.append(rng.uniform(lo - 1.0, hi + 1.0, size=(40, 2)))
+    return zone, np.vstack(pts)
+
+
+@EXAMPLES
+@given(zone_mask_cases())
+def test_zone_prefilter_keeps_every_mask_bit(case):
+    zone, pts = case
+    assert points_in_region(zone, pts).tolist() == \
+        reference_points_in_region(zone, pts).tolist()
+
+
+@st.composite
+def perimeter_cases(draw):
+    """A field around a random region zone, a radio range and a width.
+
+    Zones are star-shaped polygons, so always simple, of any size relative
+    to the field; extra sensors sit on the zone's edges and a hair outside
+    them.  Widths give ceil(width) from 0 to 3.
+    """
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    radio_range = draw(st.sampled_from((1.3, 3.0)))
+    fld = generate_field(draw(st.integers(40, 600)), radio_range, seed)
+    k = draw(st.integers(3, 10))
+    # jittered sectors keep every angular gap below pi: a simple polygon
+    angles = (np.arange(k) + rng.uniform(0.0, 0.4, size=k)) * 2 * math.pi / k
+    radius = rng.uniform(0.5, fld.side / 2) * rng.uniform(0.4, 1.0, size=k)
+    verts = rng.uniform(0.0, fld.side, size=2) + \
+        np.column_stack((radius * np.cos(angles), radius * np.sin(angles)))
+    zone = DangerZone.region(verts)
+    t = rng.random((k, 1))
+    on_edge = verts + t * (np.roll(verts, -1, axis=0) - verts)
+    pos = np.vstack((fld.positions, on_edge, on_edge * (1 + 1e-6)))
+    g = build_comm_graph(SensorField(n=len(pos), side=fld.side,
+                                     radio_range=radio_range, seed=seed,
+                                     positions=pos))
+    width = draw(st.sampled_from((0.0, 0.4, 1.0, 1.5, 2.0, 2.6, 3.0)))
+    return g, zone, width
+
+
+@EXAMPLES
+@given(perimeter_cases())
+def test_band_perimeter_equals_full_graph_search(case):
+    g, zone, width = case
+    assert build_perimeter_streets(g, zone, width) == \
+        reference_perimeter_streets(g, zone, width)
