@@ -5,13 +5,9 @@ from .field import (
     NodeId,
     SensorField,
     build_comm_graph,
-    connectivity_census,
     generate_field,
     hop_bfs,
-    is_connected,
-    load_field,
     nearest_node,
-    save_field,
 )
 from .danger import (
     DangerZone,
@@ -23,7 +19,6 @@ from .danger import (
     path_exposure,
     perimeter_length,
     potential_at,
-    save_zone,
     well_behaved_check,
 )
 from .skeleton import (
@@ -32,15 +27,12 @@ from .skeleton import (
     SkeletonGraph,
     attach_offstreet_endpoints,
     default_street_width,
-    save_skeleton,
-    skeleton_text,
 )
 from .uniform import (
     UniformStreetConfig,
     build_perimeter_streets,
     build_uniform_skeleton,
     prune_street,
-    shift_streets,
 )
 from .adaptive import (
     Cluster,

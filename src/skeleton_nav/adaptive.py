@@ -226,14 +226,6 @@ class Quadtree:
                 total += sum(b - a for a, b in spans)
         return float(total)
 
-    def dump_text(self) -> str:
-        lines = [
-            f"{leaf.level} {leaf.x0} {leaf.y0} {leaf.size} {int(leaf.crossed)}"
-            for leaf in sorted(self.leaves,
-                               key=lambda c: (-c.level, c.x0, c.y0))
-        ]
-        return "\n".join(lines) + "\n"
-
 
 def _merge_spans(spans: list[tuple[int, int]]) -> list[tuple[int, int]]:
     spans = sorted(spans)

@@ -27,7 +27,6 @@ class DangerZone:
     vertices: np.ndarray | None = None  # (m, 2) CCW simple polygon
     points: np.ndarray | None = None    # (k, 2) danger locations
     curve_constant: float = 4.0         # bound on boundary length per box side
-    threshold: float | None = None      # optional exposure threshold
 
     def __post_init__(self) -> None:
         if self.kind not in ("region", "points"):
@@ -50,19 +49,14 @@ class DangerZone:
             object.__setattr__(self, "points", pts)
 
     @classmethod
-    def region(cls, vertices, curve_constant: float = 4.0,
-               threshold: float | None = None) -> "DangerZone":
+    def region(cls, vertices, curve_constant: float = 4.0) -> "DangerZone":
         return cls(kind="region", vertices=np.asarray(vertices, dtype=np.float64),
-                   curve_constant=curve_constant, threshold=threshold)
+                   curve_constant=curve_constant)
 
     @classmethod
     def point_set(cls, points, curve_constant: float = 4.0) -> "DangerZone":
         return cls(kind="points", points=np.asarray(points, dtype=np.float64),
                    curve_constant=curve_constant)
-
-    def entity_count(self) -> int:
-        """Distinct dangerous entities (one for a region, k for points)."""
-        return 1 if self.kind == "region" else len(self.points)
 
     def source_points(self) -> np.ndarray:
         """Where potentials radiate from: the points, or the region vertices."""
@@ -350,36 +344,9 @@ class ZoneSpec:
     beta: float = 2.0
     clamp_radius: float = 1.0
 
-    def potential_model(self) -> PotentialModel:
-        return PotentialModel(sources=self.zone.source_points(),
-                              beta=self.beta, clamp_radius=self.clamp_radius)
-
-
-def save_zone(spec: ZoneSpec, path) -> None:
-    """Write a zone definition: key-value header, then the geometry section."""
-    zone = spec.zone
-    lines = [
-        f"beta {spec.beta:.17g}",
-        f"clamp {spec.clamp_radius:.17g}",
-        f"c {zone.curve_constant:.17g}",
-    ]
-    if zone.threshold is not None:
-        lines.append(f"threshold {zone.threshold:.17g}")
-    if zone.kind == "region":
-        lines.append("region")
-        coords = zone.vertices
-    else:
-        lines.append("points")
-        coords = zone.points
-    for x, y in coords:
-        lines.append(f"{x:.17g} {y:.17g}")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-
 
 def parse_zone(text: str) -> ZoneSpec:
     params = {"beta": 2.0, "clamp": 1.0, "c": 4.0}
-    threshold = None
     kind = None
     coords: list[tuple[float, float]] = []
     for raw in text.splitlines():
@@ -394,18 +361,14 @@ def parse_zone(text: str) -> ZoneSpec:
             kind = line
             continue
         key, value = line.split(None, 1)
-        if key == "threshold":
-            threshold = float(value)
-        elif key in params:
-            params[key] = float(value)
-        else:
+        if key not in params:
             raise ValueError(f"unknown zone header {key!r}")
+        params[key] = float(value)
     if kind is None:
         raise ValueError("zone file has no region/points section")
     arr = np.asarray(coords, dtype=np.float64)
     if kind == "region":
-        zone = DangerZone.region(arr, curve_constant=params["c"],
-                                 threshold=threshold)
+        zone = DangerZone.region(arr, curve_constant=params["c"])
     else:
         zone = DangerZone.point_set(arr, curve_constant=params["c"])
     return ZoneSpec(zone=zone, beta=params["beta"], clamp_radius=params["clamp"])

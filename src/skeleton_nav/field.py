@@ -25,7 +25,7 @@ builds them.  Hop searches run on one of two BFS engines over them:
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Collection, Iterable, Sequence
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -119,9 +119,6 @@ class CommGraph:
         return tuple(self.indices[self.indptr[node]:self.indptr[node + 1]]
                      .tolist())
 
-    def degree(self, node: NodeId) -> int:
-        return int(self.indptr[node + 1] - self.indptr[node])
-
     def edge_count(self) -> int:
         return len(self.indices) // 2
 
@@ -186,9 +183,6 @@ def build_comm_graph(field: SensorField) -> CommGraph:
     The CSR arrays are built on first use, not here.
     """
     return CommGraph(field=field)
-
-
-BlockedSpec = Callable[[NodeId], bool] | Collection[NodeId] | None
 
 
 def node_mask(n: int, nodes: Collection[NodeId] | np.ndarray | None
@@ -287,17 +281,16 @@ def bfs_tree(graph: CommGraph, sources, allowed: np.ndarray | None = None,
 
 
 def hop_bfs(graph: CommGraph, source: NodeId,
-            blocked: BlockedSpec = None) -> tuple[list[float], list[NodeId]]:
+            blocked: Collection[NodeId] | np.ndarray | None = None
+            ) -> tuple[list[float], list[NodeId]]:
     """Hop distances and parents from source, skipping blocked nodes.
 
-    Unreachable nodes get distance inf and parent -1.  Among equally close
-    predecessors the lowest node id becomes the parent, which keeps reruns
-    byte-identical.
+    `blocked` is a node collection or a boolean mask.  Unreachable nodes
+    get distance inf and parent -1.  Among equally close predecessors the
+    lowest node id becomes the parent, which keeps reruns byte-identical.
     """
     if source < 0 or source >= graph.n:
         raise ValueError(f"source {source} out of range")
-    if callable(blocked):
-        blocked = np.fromiter(map(blocked, range(graph.n)), bool, graph.n)
     allowed = None if blocked is None else ~node_mask(graph.n, blocked)
     if allowed is not None and not allowed[source]:
         raise ValueError(f"source {source} is blocked")
@@ -322,63 +315,3 @@ def nearest_node(field: SensorField, point: tuple[float, float],
     diff = field.positions[ids] - np.asarray(point, dtype=np.float64)
     d2 = diff[:, 0] ** 2 + diff[:, 1] ** 2
     return int(ids[d2 == d2.min()].min())
-
-
-def is_connected(graph: CommGraph) -> bool:
-    return INF not in hop_bfs(graph, 0)[0]
-
-
-def connectivity_census(n: int, radio_range: float, seeds: Iterable[int]) -> float:
-    """Fraction of seeds for which the comm graph comes out connected.
-
-    Diagnostic: with density 1 the graph is almost always disconnected below
-    r ~ 1.5 and solidly connected by r = 3.
-    """
-    seeds = list(seeds)
-    hits = 0
-    for s in seeds:
-        g = build_comm_graph(generate_field(n, radio_range, s))
-        if is_connected(g):
-            hits += 1
-    return hits / len(seeds)
-
-
-def save_field(field: SensorField, path) -> None:
-    """Write a field as text: one header line, then one `id x y` line per node."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(field_text(field))
-
-
-def field_text(field: SensorField) -> str:
-    lines = [f"{field.n} {field.side:.17g} {field.radio_range:.17g} {field.seed}"]
-    for i in range(field.n):
-        x, y = field.positions[i]
-        lines.append(f"{i} {x:.17g} {y:.17g}")
-    return "\n".join(lines) + "\n"
-
-
-def load_field(path) -> SensorField:
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        n = int(header[0])
-        side = float(header[1])
-        radio_range = float(header[2])
-        seed = int(header[3])
-        positions = np.empty((n, 2), dtype=np.float64)
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            i = int(parts[0])
-            positions[i, 0] = float(parts[1])
-            positions[i, 1] = float(parts[2])
-    return SensorField(n=n, side=side, radio_range=radio_range, seed=seed,
-                       positions=positions)
-
-
-def adjacency_text(graph: CommGraph) -> str:
-    """Canonical text dump of the adjacency, for byte-level comparisons."""
-    return "\n".join(
-        f"{i}:" + ",".join(map(str, graph.neighbors(i)))
-        for i in range(graph.n)
-    ) + "\n"

@@ -24,8 +24,8 @@ from .field import ActiveGraph, CommGraph, SensorField, active_graph, \
 from .skeleton import Provenance, SkeletonGraph, attach_offstreet_endpoints, \
     default_street_width
 from .uniform import UniformStreetConfig, build_uniform_skeleton
-from .adaptive import build_adaptive_skeleton, build_quadtree, \
-    detect_voronoi_nodes, embed_voronoi_streets
+from .adaptive import build_adaptive_skeleton, detect_voronoi_nodes, \
+    embed_voronoi_streets
 from .distsim import INF, centralized_bfs, centralized_min_exposure, \
     extract_path, run_bfs_flood, run_min_exposure, run_potential_phase
 
@@ -81,6 +81,14 @@ class Scenario:
     entity_budget_divisor: float = 4.0
 
     def validate(self) -> None:
+        for name in ("radio_range", "beta", "clamp_radius", "epsilon",
+                     "width", "shift", "min_pair_distance",
+                     "entity_budget_divisor"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ScenarioError(f"{name} must be finite, got {value!r}")
+        if self.entity_budget_divisor <= 0:
+            raise ScenarioError("entity budget divisor must be positive")
         if self.n < 4:
             raise ScenarioError("n must be at least 4")
         if self.radio_range <= 0:
@@ -239,7 +247,7 @@ class World:
     field: SensorField
     graph: CommGraph
     zone: DangerZone | None
-    active: frozenset[int]
+    active: np.ndarray          # read-only bool mask of out-of-zone nodes
     skeleton: SkeletonGraph
     potentials: list[float] | None
     potential_packets: int
@@ -313,7 +321,7 @@ def build_world(s: Scenario) -> World:
     g = build_comm_graph(f)
     zone, model = make_zone(s, f.side)
     outside = ~zone_node_mask(zone, f.positions)
-    active = frozenset(np.flatnonzero(outside).tolist())
+    outside.setflags(write=False)
 
     potentials = None
     pot_packets = 0
@@ -327,10 +335,11 @@ def build_world(s: Scenario) -> World:
         pot_packets = phase.packets
 
     if s.skeleton == "full":
-        prov = {v: Provenance.GRID_STREET for v in active}
-        sk = SkeletonGraph(graph=g, awake=active, provenance=prov,
-                           construction="full",
-                           blocked=frozenset(range(s.n)) - active)
+        prov = dict.fromkeys(np.flatnonzero(outside).tolist(),
+                             Provenance.GRID_STREET)
+        blocked = frozenset(np.flatnonzero(~outside).tolist())
+        sk = SkeletonGraph(graph=g, awake=frozenset(prov), provenance=prov,
+                           construction="full", blocked=blocked)
     elif s.skeleton == "uniform":
         cfg = UniformStreetConfig(epsilon=s.epsilon, width=s.width,
                                   shift=s.shift, prune=s.prune)
@@ -344,11 +353,11 @@ def build_world(s: Scenario) -> World:
             if band.degenerate:
                 raise ScenarioError(
                     f"degenerate Voronoi band: {len(band.nodes)} of "
-                    f"{len(active)} active nodes are about equally far from "
-                    "two danger points, so its streets would wake nearly "
-                    "the whole network")
+                    f"{np.count_nonzero(outside)} active nodes are about "
+                    "equally far from two danger points, so its streets "
+                    "would wake nearly the whole network")
             sk = embed_voronoi_streets(sk, band)
-    world = World(scenario=s, field=f, graph=g, zone=zone, active=active,
+    world = World(scenario=s, field=f, graph=g, zone=zone, active=outside,
                   skeleton=sk, potentials=potentials,
                   potential_packets=pot_packets)
     if oracle is not None:

@@ -33,7 +33,7 @@ def default_street_width(radio_range: float) -> float:
 
 @dataclass(eq=False)
 class SkeletonGraph:
-    """Awake node set with induced adjacency and per-node provenance."""
+    """Awake node set with its search graph and per-node provenance."""
 
     graph: CommGraph
     awake: frozenset[NodeId]
@@ -54,10 +54,6 @@ class SkeletonGraph:
     def fraction(self) -> float:
         return len(self.awake) / self.graph.n
 
-    def neighbors(self, node: NodeId) -> list[NodeId]:
-        awake = self.awake
-        return [v for v in self.graph.neighbors(node) if v in awake]
-
     @cached_property
     def search(self) -> ActiveGraph:
         """The awake set as a search graph, built on first use.
@@ -66,11 +62,6 @@ class SkeletonGraph:
         `with_connectors` has its own awake set and builds its own.
         """
         return active_graph(self.graph, self.awake)
-
-    @cached_property
-    def adjacency(self) -> dict[NodeId, tuple[NodeId, ...]]:
-        """Induced adjacency over the awake set, built on first use."""
-        return {u: tuple(self.neighbors(u)) for u in sorted(self.awake)}
 
     def with_connectors(self, nodes, tag: Provenance = Provenance.ENDPOINT
                         ) -> "SkeletonGraph":
@@ -84,26 +75,6 @@ class SkeletonGraph:
         return SkeletonGraph(graph=self.graph, awake=self.awake | extra,
                              provenance=prov, construction=self.construction,
                              blocked=self.blocked, geometry=self.geometry)
-
-
-def skeleton_text(sk: SkeletonGraph) -> str:
-    """Dump: one `id provenance` line per awake node, ascending ids."""
-    return "\n".join(f"{i} {sk.provenance[i].value}" for i in sorted(sk.awake)) + "\n"
-
-
-def save_skeleton(sk: SkeletonGraph, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(skeleton_text(sk))
-
-
-def load_awake_set(path) -> dict[NodeId, Provenance]:
-    out: dict[NodeId, Provenance] = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            parts = line.split()
-            if parts:
-                out[int(parts[0])] = Provenance(parts[1])
-    return out
 
 
 @dataclass(frozen=True)

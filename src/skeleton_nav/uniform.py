@@ -11,7 +11,7 @@ round the region.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,16 +49,6 @@ class UniformStreetConfig:
         if not 0.0 <= self.shift < s:
             raise ValueError(f"shift {self.shift} outside [0, {s:.3g})")
         return s, w
-
-
-def shift_streets(cfg: UniformStreetConfig, delta: float,
-                  n: int | None = None) -> UniformStreetConfig:
-    """Same grid, slid diagonally by delta along both axes."""
-    if delta < 0:
-        raise ValueError("shift must be non-negative")
-    if n is not None and delta >= cfg.separation(n):
-        raise ValueError("shift must stay below the street separation")
-    return replace(cfg, shift=delta)
 
 
 def street_line_positions(side: float, separation: float,

@@ -16,15 +16,10 @@ from scipy.sparse.csgraph import shortest_path
 from skeleton_nav.field import (
     CommGraph,
     SensorField,
-    adjacency_text,
     build_comm_graph,
-    connectivity_census,
-    field_text,
     generate_field,
     hop_bfs,
-    load_field,
     nearest_node,
-    save_field,
 )
 
 INF = math.inf
@@ -134,7 +129,6 @@ def test_adjacency_sorted_without_self_loops(graph_cache):
         assert i not in nbrs
         assert list(nbrs) == sorted(nbrs)
     assert g.edge_count() == sum(len(a) for a in g.adj) // 2
-    assert g.degree(0) == len(g.adj[0])
     assert g.neighbors(5) == g.adj[5]
 
 
@@ -152,8 +146,10 @@ def test_hop_bfs_with_blocked_matches_restricted_oracle():
         keep = set(range(g.n)) - blocked
         dist, _ = hop_bfs(g, 3, blocked)
         assert dist == scipy_hops(g, 3, keep)
-        # callable form behaves identically to the set form
-        dist2, _ = hop_bfs(g, 3, lambda v: v % 5 == 0 and v != 3)
+        # mask form behaves identically to the set form
+        mask = np.zeros(g.n, dtype=bool)
+        mask[sorted(blocked)] = True
+        dist2, _ = hop_bfs(g, 3, mask)
         assert dist2 == dist
 
 
@@ -205,27 +201,3 @@ def test_nearest_node_tie_and_candidates():
     assert nearest_node(f, (1.0, 0.0), candidates=[2, 1]) == 1
     with pytest.raises(ValueError):
         nearest_node(f, (1.0, 0.0), candidates=[])
-
-
-def test_save_load_round_trip(tmp_path):
-    f = generate_field(100, 3.0, 11)
-    path = tmp_path / "field.txt"
-    save_field(f, path)
-    f2 = load_field(path)
-    assert (f2.n, f2.side, f2.radio_range, f2.seed) == \
-        (f.n, f.side, f.radio_range, f.seed)
-    assert np.array_equal(f2.positions, f.positions)
-    # the text itself is stable across dumps
-    assert field_text(f2) == field_text(f)
-
-
-def test_adjacency_text_is_stable(graph_cache):
-    g = graph_cache(256, 3.0, 3)
-    g2 = build_comm_graph(g.field)
-    assert adjacency_text(g) == adjacency_text(g2)
-
-
-def test_connectivity_census_contrast():
-    # at density 1, r=3 connects everything; r=1 essentially never does
-    assert connectivity_census(64, 3.0, range(10)) == 1.0
-    assert connectivity_census(64, 1.0, range(10)) == 0.0

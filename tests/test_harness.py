@@ -13,7 +13,7 @@ from scipy.spatial import cKDTree
 import skeleton_nav.cli as cli
 import skeleton_nav.field as field_module
 import skeleton_nav.harness as harness
-from skeleton_nav.danger import DangerZone
+from skeleton_nav.danger import zone_node_mask
 from skeleton_nav.distsim import centralized_bfs, extract_path, run_bfs_flood
 from skeleton_nav.field import SensorField, build_comm_graph
 from skeleton_nav.harness import (
@@ -58,6 +58,19 @@ def test_scenario_validation_errors():
         dict(epsilon=0.0),
         dict(epsilon=0.5),
         dict(epsilon=0.9),
+        # non-finite floats and a zero budget divisor fail before any build
+        dict(zone_kind="points", danger_count=1, entity_budget_divisor=0.0),
+        dict(entity_budget_divisor=-1.0),
+        dict(entity_budget_divisor=math.inf),
+        dict(zone_kind="points", beta=math.nan, metrics=("exposure",)),
+        dict(clamp_radius=math.inf),
+        dict(skeleton="uniform", width=math.nan),
+        dict(skeleton="adaptive", width=math.inf),
+        dict(radio_range=math.nan, queries=3),
+        dict(radio_range=math.inf),
+        dict(epsilon=math.nan),
+        dict(shift=math.nan),
+        dict(min_pair_distance=math.nan),
     ]
     for kwargs in bad:
         with pytest.raises(ScenarioError):
@@ -130,14 +143,16 @@ def test_make_zone_points_uses_danger_seed():
 def test_build_world_constructions():
     full = build_world(Scenario(n=256, seed=1))
     assert full.skeleton.construction == "full"
-    assert full.active == full.skeleton.awake == frozenset(range(256))
+    assert full.active.all()
+    assert full.skeleton.awake == frozenset(range(256))
+    assert full.skeleton.blocked == frozenset()
     assert full.potentials is None
 
     uni = build_world(Scenario(n=1024, seed=2, zone_kind="simple",
                                skeleton="uniform", epsilon=1 / 6))
     assert uni.skeleton.construction == "uniform"
-    assert uni.active == frozenset(range(1024)) - uni.skeleton.blocked
-    assert len(uni.active) < 1024
+    assert set(np.flatnonzero(~uni.active).tolist()) == uni.skeleton.blocked
+    assert 0 < np.count_nonzero(uni.active) < 1024
 
     ada = build_world(Scenario(n=1024, seed=3, zone_kind="points",
                                danger_count=3, danger_seed=7,
@@ -338,6 +353,10 @@ def test_census_worlds_never_build_the_comm_graph(monkeypatch):
     eager = len(cKDTree(positions).query_pairs(3.0))
     for world in worlds:
         assert world.skeleton.size > 0
+        active = world.active
+        assert active.dtype == bool and not active.flags.writeable
+        assert np.array_equal(
+            active, ~zone_node_mask(world.zone, world.field.positions))
         assert world.graph.edge_count() == eager
 
 
@@ -397,6 +416,12 @@ def test_cli_error_exit_codes(tmp_path, capsys, monkeypatch, scenario_file):
     bad = tmp_path / "bad.scenario"
     bad.write_text("zone donut\n", encoding="ascii")
     assert cli.main(["run", str(bad)]) == 1
+    capsys.readouterr()
+    zero = tmp_path / "divisor.scenario"
+    zero.write_text("n 256\nzone points\ndanger_count 1\n"
+                    "entity_budget_divisor 0\n", encoding="ascii")
+    assert cli.main(["run", str(zero)]) == 1
+    assert "error:" in capsys.readouterr().err
     monkeypatch.setattr(cli, "run_scenario",
                         lambda s: (_ for _ in ()).throw(
                             InvariantViolation("synthetic")))
@@ -424,7 +449,7 @@ def test_offstreet_source_floods_the_attached_skeleton():
     g, sk = world.graph, world.skeleton
     base_search = sk.search  # cached before any query, as sampling does
     dst = harness._main_street_component(sk)[0]
-    for src in sorted(world.active - sk.awake):
+    for src in sorted(set(np.flatnonzero(world.active).tolist()) - sk.awake):
         attach = attach_offstreet_endpoints(g, sk, src, dst)
         flood = run_bfs_flood(g, attach.skeleton.awake, src)
         if attach.src_attached and flood.value[dst] != INF:

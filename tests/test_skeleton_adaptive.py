@@ -96,6 +96,7 @@ def test_unit_zone_in_4x4_field():
     # three level-1 cells touch the square and split; the fourth only
     # meets it at the corner point (2, 2) and stays whole
     assert len(tree.leaves) == 13
+    assert all(leaf.size == 2 ** leaf.level for leaf in tree.leaves)
     whole = [leaf for leaf in tree.leaves if leaf.level == 1]
     assert len(whole) == 1
     assert (whole[0].x0, whole[0].y0) == (2, 2)
@@ -157,19 +158,6 @@ def test_leaf_at_and_enclosing_cell():
     t44 = build_quadtree(UNIT_ZONE, 4.0)
     assert t44.leaf_at(2.0, 0.5).x0 == 2
     assert t44.leaf_at(99.0, 99.0) is t44.leaf_at(3.99, 3.99)
-
-
-def test_dump_text_format():
-    tree = build_quadtree(UNIT_ZONE, 4.0)
-    lines = tree.dump_text().splitlines()
-    assert len(lines) == 13
-    for line in lines:
-        level, x0, y0, size, crossed = line.split()
-        assert int(size) == 2 ** int(level)
-        assert crossed in ("0", "1")
-    keys = [(-int(l.split()[0]), int(l.split()[1]), int(l.split()[2]))
-            for l in lines]
-    assert keys == sorted(keys)
 
 
 def test_second_zone_only_refines():

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,16 +22,12 @@ from skeleton_nav.skeleton import (
     SkeletonGraph,
     attach_offstreet_endpoints,
     default_street_width,
-    load_awake_set,
-    save_skeleton,
-    skeleton_text,
 )
 from skeleton_nav.uniform import (
     UniformStreetConfig,
     build_perimeter_streets,
     build_uniform_skeleton,
     prune_street,
-    shift_streets,
     street_line_positions,
 )
 
@@ -80,17 +77,6 @@ def test_config_validation_errors():
         UniformStreetConfig(epsilon=0.1, shift=-1.0).validate(1024, 3.0)
     with pytest.raises(ValueError):
         UniformStreetConfig(epsilon=0.1, shift=1e9).validate(1024, 3.0)
-
-
-def test_shift_streets_helper():
-    cfg = UniformStreetConfig(epsilon=0.1)
-    moved = shift_streets(cfg, 2.5)
-    assert moved.shift == 2.5
-    assert moved.epsilon == cfg.epsilon
-    with pytest.raises(ValueError):
-        shift_streets(cfg, -0.5)
-    with pytest.raises(ValueError):
-        shift_streets(cfg, cfg.separation(1024), n=1024)
 
 
 def test_street_line_positions():
@@ -199,15 +185,15 @@ def test_shifted_grids_decorrelate(graph_cache):
     cfg = UniformStreetConfig(epsilon=1 / 6)
     s = cfg.separation(4096)
     base = build_uniform_skeleton(g, None, cfg).awake
-    again = build_uniform_skeleton(g, None, shift_streets(cfg, 0.0)).awake
+    again = build_uniform_skeleton(g, None, replace(cfg, shift=0.0)).awake
     assert again == base
-    shifted = build_uniform_skeleton(g, None, shift_streets(cfg, s / 2)).awake
+    shifted = build_uniform_skeleton(g, None, replace(cfg, shift=s / 2)).awake
     # measured overlap 0.285 at this seed: shifted grids share few sensors
     assert len(base & shifted) / len(base) < 0.30
     union = set(base)
     for frac in (0.25, 0.5, 0.75):
         union |= build_uniform_skeleton(g, None,
-                                        shift_streets(cfg, frac * s)).awake
+                                        replace(cfg, shift=frac * s)).awake
     assert len(union) >= 4.0 * len(base)  # measured ratio 4.06
 
 
@@ -234,8 +220,6 @@ def test_skeleton_graph_basics(graph_cache):
                        construction="uniform", blocked=frozenset({9}))
     assert sk.size == 3
     assert sk.fraction == 3 / 256
-    assert sk.neighbors(1) == [v for v in g.adj[1] if v in {2, 3}]
-    assert set(sk.adjacency) == {1, 2, 3}
     with pytest.raises(ValueError):
         SkeletonGraph(graph=g, awake=frozenset({9}),
                       provenance={9: Provenance.GRID_STREET},
@@ -252,18 +236,6 @@ def test_with_connectors_respects_blocked(graph_cache):
     grown = sk.with_connectors({4, 9})
     assert grown.awake == frozenset({1, 4})
     assert grown.provenance[4] is Provenance.ENDPOINT
-
-
-def test_skeleton_text_round_trip(graph_cache, tmp_path):
-    g = graph_cache(1024, 3.0, 2)
-    sk = build_uniform_skeleton(g, fixture_zone("simple").zone,
-                                UniformStreetConfig(epsilon=1 / 6))
-    path = tmp_path / "awake.txt"
-    save_skeleton(sk, path)
-    back = load_awake_set(path)
-    assert set(back) == set(sk.awake)
-    assert all(back[v] is sk.provenance[v] for v in back)
-    assert skeleton_text(sk).count("\n") == sk.size
 
 
 def test_attach_on_street_is_free(graph_cache):
@@ -318,6 +290,6 @@ def test_attach_preserves_reachability(graph_cache):
     for _ in range(50):
         a, b = (int(v) for v in rng.choice(active, size=2, replace=False))
         res = attach_offstreet_endpoints(g, sk, a, b)
-        dist_sk, _ = hop_bfs(g, a, lambda v: v not in res.skeleton.awake)
-        dist_full, _ = hop_bfs(g, a, lambda v: v in sk.blocked)
+        dist_sk, _ = hop_bfs(g, a, set(range(g.n)) - res.skeleton.awake)
+        dist_full, _ = hop_bfs(g, a, sk.blocked)
         assert (dist_sk[b] != math.inf) == (dist_full[b] != math.inf)
