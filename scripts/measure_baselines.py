@@ -19,9 +19,8 @@ import time
 
 import numpy as np
 
-from skeleton_nav.adaptive import (_CrossTester, build_adaptive_skeleton,
-                                   build_quadtree, clusters_at_level,
-                                   detect_voronoi_nodes,
+from skeleton_nav.adaptive import (build_adaptive_skeleton, build_quadtree,
+                                   clusters_at_level, detect_voronoi_nodes,
                                    simulate_cluster_retirement)
 from skeleton_nav.danger import (DangerZone, PotentialModel, path_exposure,
                                  perimeter_length, points_in_region,
@@ -133,13 +132,10 @@ def section_quadtree():
     for name in ("simple", "complex"):
         zone = fixture_zone(name).zone
         p = perimeter_length(zone)
-        tester = _CrossTester([zone], 32)
         print(name, "perimeter:", p)
-        for k in range(6):
-            s = 1 << k
-            cnt = sum(tester.crossed(ix * s, iy * s, s)
-                      for ix in range(32 // s) for iy in range(32 // s))
-            print(f"  level {k}: crossed {cnt}  cap 4p/2^k = {4 * p / s:.1f}")
+        for k, crossed in enumerate(build_quadtree(zone, 32.0).crossed):
+            print(f"  level {k}: crossed {int(crossed.sum())}  "
+                  f"cap 4p/2^k = {4 * p / (1 << k):.1f}")
         for side in (32, 64, 128):
             tree = build_quadtree(zone, float(side))
             print(f"  side {side}: leaves {len(tree.leaves)} "
@@ -203,17 +199,22 @@ def section_retire():
 
 def section_attach():
     print("== attach reachability, 50 active pairs, n=1024 seed 5 ==")
-    s5 = Scenario(n=1024, seed=5, zone_kind="simple", skeleton="uniform",
-                  epsilon=1 / 6, width=5.0)
-    w5 = build_world(s5)
+    # built directly, as the test does: these streets wake every active
+    # node, which build_world rejects
+    g5 = graph(1024, 5)
+    zone = fixture_zone("simple").zone
+    sk5 = build_uniform_skeleton(
+        g5, zone, UniformStreetConfig(epsilon=1 / 6, width=5.0))
+    active = ~zone_node_mask(zone, g5.field.positions)
+    print("awake:", sk5.size, "of", int(active.sum()), "active")
     rng = np.random.default_rng(123)
-    act = np.flatnonzero(w5.active)
+    act = np.flatnonzero(active)
     bad = 0
     for _ in range(50):
         a, b = (int(v) for v in rng.choice(act, size=2, replace=False))
-        att = attach_offstreet_endpoints(w5.graph, w5.skeleton, a, b)
-        run = run_bfs_flood(w5.graph, att.skeleton.awake, a)
-        full = centralized_bfs(w5.graph, w5.active, a)
+        att = attach_offstreet_endpoints(g5, sk5, a, b)
+        run = run_bfs_flood(g5, att.skeleton.awake, a)
+        full = centralized_bfs(g5, active, a)
         bad += (run.value[b] != INF) != (full[b] != INF)
     print("mismatches:", bad)
 

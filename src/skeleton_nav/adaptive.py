@@ -6,21 +6,24 @@ boundaries become the streets; sensors within half a street width of their
 leaf's boundary stay awake.  For point dangers the tree refines around the
 points and hop-equidistant sensors form Voronoi streets between them.
 
-Every leaf is an aligned block of unit cells, so a tree keeps one table
-holding each unit cell's leaf index.  Locating a point's leaf is a clamp,
-a floor and one table read, never a walk down the tree, and the skeleton
-build locates all sensors at once with array operations.
+The tree is held as arrays, not cell objects: a pyramid of crossed-cell
+masks, one per level, each the 2 x 2 OR of the level below, and one table
+of each unit cell's leaf level.  Locating a point's leaf is a clamp, a
+floor, one table read and a round down to the leaf's corner, so the
+skeleton build locates all sensors at once with array operations.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .danger import DangerZone, points_in_region, zone_node_mask
+from .danger import DangerZone, boundary_tolerance, points_in_region, \
+    zone_node_mask
 from .field import CommGraph, NodeId, active_graph, hop_distances, \
     nearest_node, node_mask
 from .skeleton import Provenance, SkeletonGraph, default_street_width
@@ -47,10 +50,17 @@ def rasterize_region(zone: DangerZone, side: int) -> np.ndarray:
     verts = zone.vertices
     m = len(verts)
 
-    # cells whose centre lies in the region
+    # cells whose centre lies in the region; `points_in_region` rejects
+    # every centre beyond the same widened box, so only the box's are tested
+    tol = boundary_tolerance(zone)
+    lo, hi = verts.min(axis=0) - tol, verts.max(axis=0) + tol
     xs = np.arange(side) + 0.5
-    centers = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
-    inside |= points_in_region(zone, centers).reshape(side, side)
+    ix = np.flatnonzero((xs >= lo[0]) & (xs <= hi[0]))
+    iy = np.flatnonzero((xs >= lo[1]) & (xs <= hi[1]))
+    centers = np.stack(np.meshgrid(xs[ix], xs[iy], indexing="ij"),
+                       axis=-1).reshape(-1, 2)
+    inside[np.ix_(ix, iy)] = \
+        points_in_region(zone, centers).reshape(len(ix), len(iy))
 
     for i in range(m):
         x1, y1 = float(verts[i, 0]), float(verts[i, 1])
@@ -87,101 +97,74 @@ def rasterize_region(zone: DangerZone, side: int) -> np.ndarray:
     return inside
 
 
-class _CrossTester:
-    """Answers 'does any zone boundary (or danger point) touch this cell?'."""
+def touched_cells(zones, side: int) -> np.ndarray:
+    """Unit cells, indexed [x, y], whose closed square meets a zone.
 
-    def __init__(self, zones, side: int):
-        self._side = side
-        self._points: list[tuple[float, float]] = []
-        vmaps = []
-        hmaps = []
-        for zone in zones:
-            if zone.kind == "points":
-                self._points.extend((float(p[0]), float(p[1]))
-                                    for p in zone.points)
-                continue
-            inside = rasterize_region(zone, side)
-            padded = np.zeros((side + 2, side), dtype=bool)
-            padded[1:side + 1, :] = inside
-            vmaps.append(padded[:-1, :] != padded[1:, :])   # (side+1, side)
-            padded = np.zeros((side, side + 2), dtype=bool)
-            padded[:, 1:side + 1] = inside
-            hmaps.append(padded[:, :-1] != padded[:, 1:])   # (side, side+1)
-        vv = np.zeros((side + 1, side), dtype=np.int64)
-        hh = np.zeros((side, side + 1), dtype=np.int64)
-        for v in vmaps:
-            vv += v
-        for h in hmaps:
-            hh += h
-        # 2-D prefix sums with a zero border for O(1) rectangle queries
-        self._sv = np.zeros((side + 2, side + 1), dtype=np.int64)
-        self._sv[1:, 1:] = vv.cumsum(axis=0).cumsum(axis=1)
-        self._sh = np.zeros((side + 1, side + 2), dtype=np.int64)
-        self._sh[1:, 1:] = hh.cumsum(axis=0).cumsum(axis=1)
-
-    def _rect(self, table, i0, i1, j0, j1) -> int:
-        # inclusive index ranges into the underlying indicator grids
-        return int(table[i1 + 1, j1 + 1] - table[i0, j1 + 1]
-                   - table[i1 + 1, j0] + table[i0, j0])
-
-    def crossed(self, x0: int, y0: int, size: int) -> bool:
-        x1 = x0 + size
-        y1 = y0 + size
-        for px, py in self._points:
-            if x0 <= px <= x1 and y0 <= py <= y1:
-                return True
-        if self._rect(self._sv, x0, x1, y0, y1 - 1) > 0:
-            return True
-        if self._rect(self._sh, x0, x1 - 1, y0, y1) > 0:
-            return True
-        return False
+    A unit edge of a region's snapped boundary marks both cells it
+    separates; a danger point marks every cell whose closed square holds
+    it, so a point on an integer line marks two or four.
+    """
+    touched = np.zeros((side, side), dtype=bool)
+    lo = np.arange(side)
+    for zone in zones:
+        if zone.kind == "points":
+            for px, py in zone.points:
+                touched[np.ix_((lo <= px) & (px <= lo + 1),
+                               (lo <= py) & (py <= lo + 1))] = True
+            continue
+        inside = np.pad(rasterize_region(zone, side), 1)
+        core = inside[1:-1, 1:-1]
+        touched |= (core != inside[:-2, 1:-1]) | (core != inside[2:, 1:-1]) \
+            | (core != inside[1:-1, :-2]) | (core != inside[1:-1, 2:])
+    return touched
 
 
-@dataclass(eq=False)
-class QuadCell:
-    level: int
+class QuadCell(NamedTuple):
+    """An aligned block of 2^level unit cells on a side, by its low corner."""
+
     x0: int
     y0: int
-    crossed: bool
-    children: tuple["QuadCell", ...] | None = None
+    level: int
 
     @property
     def size(self) -> int:
         return 1 << self.level
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.children is None
-
 
 @dataclass(eq=False)
 class Quadtree:
-    """Minimal quadtree whose leaves are never interior-crossed by the zone."""
+    """Minimal quadtree whose leaves are never interior-crossed by the zone.
+
+    `crossed[L][i, j]` says whether the zone touches the level-L cell with
+    low corner (i << L, j << L).  Crossing only grows going up, so the tree
+    splits exactly the crossed cells, and `level[x, y]` holds the level of
+    the leaf that unit cell (x, y) lies in.  Both are read-only.
+    """
 
     side: int
-    root: QuadCell
-    leaves: tuple[QuadCell, ...] = dc_field(default=())
+    crossed: tuple[np.ndarray, ...]
+    level: np.ndarray
 
     @property
     def levels(self) -> int:
-        return self.root.level
+        return len(self.crossed) - 1
 
     @cached_property
-    def cell_leaf(self) -> np.ndarray:
-        """Per unit cell, indexed [x, y], the index of its leaf in `leaves`.
+    def leaves(self) -> tuple[QuadCell, ...]:
+        """Every leaf, ordered by its low corner."""
+        dx, dy = self._offsets()
+        xs, ys = np.nonzero((dx == 0) & (dy == 0))
+        return tuple(map(QuadCell, xs.tolist(), ys.tolist(),
+                         self.level[xs, ys].tolist()))
 
-        Leaves tile the tree in aligned blocks, so one slice assignment per
-        leaf fills the table; it is built on first use and read-only.
-        """
-        table = np.empty((self.side, self.side), dtype=np.int32)
-        for k, leaf in enumerate(self.leaves):
-            s = leaf.size
-            table[leaf.x0:leaf.x0 + s, leaf.y0:leaf.y0 + s] = k
-        table.setflags(write=False)
-        return table
+    def _offsets(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each unit cell's offsets from its leaf's low corner, in x and y."""
+        low_bits = (1 << self.level.astype(np.intp)) - 1
+        ix = np.arange(self.side)
+        return ix[:, None] & low_bits, ix[None, :] & low_bits
 
-    def leaf_index(self, x, y) -> np.ndarray:
-        """Indices into `leaves` of the leaves holding the points (x, y).
+    def leaf_cells(self, x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Low corners and sizes of the leaves holding the points (x, y).
 
         Points beyond the tree clamp onto its edge.  A point on an internal
         edge lies in the upper cell, since floor sends an integer to the
@@ -190,68 +173,30 @@ class Quadtree:
         hi = self.side - _GRID_EPS
         cx = np.floor(np.minimum(np.maximum(x, 0.0), hi)).astype(np.intp)
         cy = np.floor(np.minimum(np.maximum(y, 0.0), hi)).astype(np.intp)
-        return self.cell_leaf[cx, cy]
+        lv = self.level[cx, cy].astype(np.intp)
+        return (cx >> lv) << lv, (cy >> lv) << lv, 1 << lv
 
     def leaf_at(self, x: float, y: float) -> QuadCell:
         """Leaf cell containing the point; edge points go to the upper cell."""
-        return self.leaves[int(self.leaf_index(x, y))]
+        x0, y0, size = map(int, self.leaf_cells(x, y))
+        return QuadCell(x0, y0, size.bit_length() - 1)
 
     def enclosing_cell(self, x: float, y: float) -> tuple[float, float, float, float]:
         leaf = self.leaf_at(x, y)
         return (float(leaf.x0), float(leaf.y0),
                 float(leaf.x0 + leaf.size), float(leaf.y0 + leaf.size))
 
-    def street_segments(self) -> tuple[dict[int, list[tuple[int, int]]],
-                                       dict[int, list[tuple[int, int]]]]:
-        """Merged leaf-boundary intervals keyed by line coordinate."""
-        vert: dict[int, list[tuple[int, int]]] = {}
-        horiz: dict[int, list[tuple[int, int]]] = {}
-        for leaf in self.leaves:
-            s = leaf.size
-            vert.setdefault(leaf.x0, []).append((leaf.y0, leaf.y0 + s))
-            vert.setdefault(leaf.x0 + s, []).append((leaf.y0, leaf.y0 + s))
-            horiz.setdefault(leaf.y0, []).append((leaf.x0, leaf.x0 + s))
-            horiz.setdefault(leaf.y0 + s, []).append((leaf.x0, leaf.x0 + s))
-        for table in (vert, horiz):
-            for key, spans in table.items():
-                table[key] = _merge_spans(spans)
-        return vert, horiz
-
     def street_length(self) -> float:
-        """Total unique length of leaf boundaries (shared edges counted once)."""
-        vert, horiz = self.street_segments()
-        total = 0
-        for table in (vert, horiz):
-            for spans in table.values():
-                total += sum(b - a for a, b in spans)
-        return float(total)
+        """Total unique length of leaf boundaries (shared edges counted once).
 
-
-def _merge_spans(spans: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    spans = sorted(spans)
-    out = [spans[0]]
-    for a, b in spans[1:]:
-        la, lb = out[-1]
-        if a <= lb:
-            out[-1] = (la, max(lb, b))
-        else:
-            out.append((a, b))
-    return out
-
-
-def _refine(tester: _CrossTester, level: int, x0: int, y0: int) -> QuadCell:
-    """The cell at (level, x0, y0), split down to every crossed unit cell."""
-    crossed = tester.crossed(x0, y0, 1 << level)
-    cell = QuadCell(level=level, x0=x0, y0=y0, crossed=crossed)
-    if crossed and level > 0:
-        h = 1 << (level - 1)
-        cell.children = (
-            _refine(tester, level - 1, x0, y0),
-            _refine(tester, level - 1, x0 + h, y0),
-            _refine(tester, level - 1, x0, y0 + h),
-            _refine(tester, level - 1, x0 + h, y0 + h),
-        )
-    return cell
+        A vertical unit segment is a street when the cell right of it starts
+        its leaf along x, a horizontal one when the cell above it starts its
+        leaf along y.  That counts the left and bottom borders; the right
+        and top ones add 2 * side.
+        """
+        dx, dy = self._offsets()
+        return float(np.count_nonzero(dx == 0) + np.count_nonzero(dy == 0)
+                     + 2 * self.side)
 
 
 def build_quadtree(zones, side: float) -> Quadtree:
@@ -264,20 +209,20 @@ def build_quadtree(zones, side: float) -> Quadtree:
         zones = [zones]
     zones = [z for z in zones if z is not None]
     side_i = _pow2_side(side)
-    levels = side_i.bit_length() - 1
-    # a module-level recursion, not a nested one: a closure that calls
-    # itself is a reference cycle, which would keep the tester's prefix
-    # sums alive until the next garbage collection
-    root = _refine(_CrossTester(zones, side_i), levels, 0, 0)
-    leaves: list[QuadCell] = []
-    stack = [root]
-    while stack:
-        cell = stack.pop()
-        if cell.children is None:
-            leaves.append(cell)
-        else:
-            stack.extend(cell.children)
-    return Quadtree(side=side_i, root=root, leaves=tuple(leaves))
+    crossed = [touched_cells(zones, side_i)]
+    while len(crossed[-1]) > 1:
+        c = crossed[-1]
+        crossed.append(c[0::2, 0::2] | c[1::2, 0::2] | c[0::2, 1::2]
+                       | c[1::2, 1::2])
+    # count the uncrossed blocks above each unit cell, itself included: its
+    # leaf is the highest of them, or the unit cell when there are none
+    open_blocks = (~crossed[-1]).astype(np.int8)
+    for c in crossed[-2::-1]:
+        open_blocks = open_blocks.repeat(2, axis=0).repeat(2, axis=1) + ~c
+    level = np.maximum(open_blocks - 1, 0).astype(np.int8)
+    for table in (*crossed, level):
+        table.setflags(write=False)
+    return Quadtree(side=side_i, crossed=tuple(crossed), level=level)
 
 
 def build_adaptive_skeleton(graph: CommGraph, zone: DangerZone | None,
@@ -293,8 +238,7 @@ def build_adaptive_skeleton(graph: CommGraph, zone: DangerZone | None,
 
     x, y = fld.positions.T
     mask = zone_node_mask(zone, fld.positions)
-    corners = np.array([(leaf.x0, leaf.y0, leaf.size) for leaf in tree.leaves])
-    x0, y0, s = corners[tree.leaf_index(x, y)].T
+    x0, y0, s = tree.leaf_cells(x, y)
     # margins come from the unclamped positions: a sensor beyond the tree
     # gets a negative margin and wakes
     margin = np.minimum(np.minimum(x - x0, (x0 + s) - x),
@@ -394,26 +338,22 @@ def simulate_cluster_retirement(graph: CommGraph, zone: DangerZone | None,
     fld = graph.field
     if width is None:
         width = default_street_width(fld.radio_range)
-    side = _pow2_side(fld.side)
-    levels = side.bit_length() - 1
-    zones = [] if zone is None else [zone]
-    tester = _CrossTester(zones, side)
+    tree = build_quadtree([] if zone is None else zone, fld.side)
+    levels = tree.levels
 
     messages = 0
     awake: set[NodeId] = set()
     for level in range(levels + 1):
-        s = 1 << level
-        clusters = clusters_at_level(graph, zone, level, side, width)
+        clusters = clusters_at_level(graph, zone, level, tree.side, width)
         for (ix, iy), cluster in clusters.items():
-            crossed = tester.crossed(ix * s, iy * s, s)
+            crossed = tree.crossed[level][ix, iy]
             messages += len(cluster.members)          # boundary walk
             if not crossed and level < levels:
                 messages += 1                         # notify parent
             if level == levels:
                 survives = True                       # root has no parent
             else:
-                ps = s * 2
-                survives = tester.crossed((ix // 2) * ps, (iy // 2) * ps, ps)
+                survives = tree.crossed[level + 1][ix // 2, iy // 2]
             if survives:
                 awake.update(cluster.members)
     return RetirementResult(messages=messages, awake=frozenset(awake))

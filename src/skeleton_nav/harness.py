@@ -314,7 +314,8 @@ def make_zone(s: Scenario, side: float) -> tuple[DangerZone | None,
 def build_world(s: Scenario) -> World:
     """Field, graph, zone, skeleton, and (if needed) the potential field.
 
-    Raises ScenarioError when the Voronoi band comes out degenerate.
+    Raises ScenarioError when the Voronoi band comes out degenerate, or
+    when a sparse construction wakes every active node.
     """
     s.validate()
     f = generate_field(s.n, s.radio_range, s.seed)
@@ -357,6 +358,14 @@ def build_world(s: Scenario) -> World:
                     "equally far from two danger points, so its streets "
                     "would wake nearly the whole network")
             sk = embed_voronoi_streets(sk, band)
+    active_count = np.count_nonzero(outside)
+    if s.skeleton != "full" and 0 < active_count == sk.size:
+        width = default_street_width(s.radio_range) if s.width is None \
+            else s.width
+        raise ScenarioError(
+            f"the {s.skeleton} skeleton wakes all {active_count} active "
+            f"nodes (street width {width:g}), so it is no sparser than the "
+            "full network; narrow the streets")
     world = World(scenario=s, field=f, graph=g, zone=zone, active=outside,
                   skeleton=sk, potentials=potentials,
                   potential_packets=pot_packets)

@@ -6,22 +6,24 @@ These loops walk the tuple-of-tuples adjacency (`CommGraph.adj`) one
 neighbour at a time instead.  `centralized_bfs` and
 `centralized_min_exposure` are the package's former oracles, unchanged;
 `reference_bfs` is the hand-written level loop the kernel replaced,
-generalized to several sources and a depth cap.  `reference_leaf_at` and
-`reference_adaptive_awake` are the quadtree walk and the per-sensor loop
-that the unit-cell leaf table replaced.  `reference_points_in_region` is
-the zone test over every point, before the bounding-box prefilter, and
-`reference_perimeter_streets` the perimeter search over the full graph,
-before the boundary band.
+generalized to several sources and a depth cap.  `reference_quadtree` is
+the recursive cell tree refined against prefix-sum crossing counts, which
+the crossed-cell pyramid and leaf-level table replaced; `reference_leaf_at`
+and `reference_adaptive_awake` walk it, as the package once did per
+sensor.  `reference_points_in_region` is the zone test over every point,
+before the bounding-box prefilter, and `reference_perimeter_streets` the
+perimeter search over the full graph, before the boundary band.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from skeleton_nav.adaptive import QuadCell, Quadtree
+from skeleton_nav.adaptive import _pow2_side, rasterize_region
 from skeleton_nav.danger import _EDGE_EPS, DangerZone, boundary_nodes, \
     zone_node_mask
 from skeleton_nav.field import CommGraph, NodeId, bfs_tree
@@ -106,7 +108,116 @@ def centralized_min_exposure(graph: CommGraph, active, source: NodeId,
     return best
 
 
-def reference_leaf_at(tree: Quadtree, x: float, y: float) -> QuadCell:
+class _CrossTester:
+    """Answers 'does any zone boundary (or danger point) touch this cell?'."""
+
+    def __init__(self, zones, side: int):
+        self._side = side
+        self._points: list[tuple[float, float]] = []
+        vmaps = []
+        hmaps = []
+        for zone in zones:
+            if zone.kind == "points":
+                self._points.extend((float(p[0]), float(p[1]))
+                                    for p in zone.points)
+                continue
+            inside = rasterize_region(zone, side)
+            padded = np.zeros((side + 2, side), dtype=bool)
+            padded[1:side + 1, :] = inside
+            vmaps.append(padded[:-1, :] != padded[1:, :])   # (side+1, side)
+            padded = np.zeros((side, side + 2), dtype=bool)
+            padded[:, 1:side + 1] = inside
+            hmaps.append(padded[:, :-1] != padded[:, 1:])   # (side, side+1)
+        vv = np.zeros((side + 1, side), dtype=np.int64)
+        hh = np.zeros((side, side + 1), dtype=np.int64)
+        for v in vmaps:
+            vv += v
+        for h in hmaps:
+            hh += h
+        # 2-D prefix sums with a zero border for O(1) rectangle queries
+        self._sv = np.zeros((side + 2, side + 1), dtype=np.int64)
+        self._sv[1:, 1:] = vv.cumsum(axis=0).cumsum(axis=1)
+        self._sh = np.zeros((side + 1, side + 2), dtype=np.int64)
+        self._sh[1:, 1:] = hh.cumsum(axis=0).cumsum(axis=1)
+
+    def _rect(self, table, i0, i1, j0, j1) -> int:
+        # inclusive index ranges into the underlying indicator grids
+        return int(table[i1 + 1, j1 + 1] - table[i0, j1 + 1]
+                   - table[i1 + 1, j0] + table[i0, j0])
+
+    def crossed(self, x0: int, y0: int, size: int) -> bool:
+        x1 = x0 + size
+        y1 = y0 + size
+        for px, py in self._points:
+            if x0 <= px <= x1 and y0 <= py <= y1:
+                return True
+        if self._rect(self._sv, x0, x1, y0, y1 - 1) > 0:
+            return True
+        if self._rect(self._sh, x0, x1 - 1, y0, y1) > 0:
+            return True
+        return False
+
+
+@dataclass(eq=False)
+class ReferenceCell:
+    level: int
+    x0: int
+    y0: int
+    crossed: bool
+    children: tuple["ReferenceCell", ...] | None = None
+
+    @property
+    def size(self) -> int:
+        return 1 << self.level
+
+
+@dataclass(eq=False)
+class ReferenceTree:
+    side: int
+    root: ReferenceCell
+    leaves: tuple[ReferenceCell, ...]
+    tester: _CrossTester
+
+
+def _refine(tester: _CrossTester, level: int, x0: int,
+            y0: int) -> ReferenceCell:
+    """The cell at (level, x0, y0), split down to every crossed unit cell."""
+    crossed = tester.crossed(x0, y0, 1 << level)
+    cell = ReferenceCell(level=level, x0=x0, y0=y0, crossed=crossed)
+    if crossed and level > 0:
+        h = 1 << (level - 1)
+        cell.children = (
+            _refine(tester, level - 1, x0, y0),
+            _refine(tester, level - 1, x0 + h, y0),
+            _refine(tester, level - 1, x0, y0 + h),
+            _refine(tester, level - 1, x0 + h, y0 + h),
+        )
+    return cell
+
+
+def reference_quadtree(zones, side: float) -> ReferenceTree:
+    """Split every cell the tester calls crossed, from the root down."""
+    if isinstance(zones, DangerZone):
+        zones = [zones]
+    zones = [z for z in zones if z is not None]
+    side_i = _pow2_side(side)
+    levels = side_i.bit_length() - 1
+    tester = _CrossTester(zones, side_i)
+    root = _refine(tester, levels, 0, 0)
+    leaves: list[ReferenceCell] = []
+    stack = [root]
+    while stack:
+        cell = stack.pop()
+        if cell.children is None:
+            leaves.append(cell)
+        else:
+            stack.extend(cell.children)
+    return ReferenceTree(side=side_i, root=root, leaves=tuple(leaves),
+                         tester=tester)
+
+
+def reference_leaf_at(tree: ReferenceTree, x: float,
+                      y: float) -> ReferenceCell:
     """Walk from the root; clamp onto the tree, edge points go up."""
     cell = tree.root
     cx = min(max(x, 0.0), tree.side - 1e-9)
@@ -119,7 +230,7 @@ def reference_leaf_at(tree: Quadtree, x: float, y: float) -> QuadCell:
     return cell
 
 
-def reference_adaptive_awake(graph: CommGraph, zone, tree: Quadtree,
+def reference_adaptive_awake(graph: CommGraph, zone, tree: ReferenceTree,
                              width: float) -> frozenset[NodeId]:
     """Sensors outside the zone within width / 2 of their leaf's boundary."""
     half = width / 2.0

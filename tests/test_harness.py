@@ -443,6 +443,23 @@ def test_degenerate_voronoi_band_is_rejected(tmp_path, capsys):
     assert "degenerate Voronoi band" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n, width, zone_kind, skeleton", [
+    (256, 50.0, "none", "adaptive"),
+    (256, 50.0, "none", "uniform"),
+    (4096, 40.0, "simple", "adaptive"),
+])
+def test_street_wide_enough_to_wake_everything_is_rejected(
+        tmp_path, capsys, n, width, zone_kind, skeleton):
+    s = Scenario(n=n, seed=1, zone_kind=zone_kind, skeleton=skeleton,
+                 width=width, queries=2)
+    with pytest.raises(ScenarioError, match="wakes all"):
+        build_world(s)
+    path = tmp_path / "wide.scenario"
+    save_scenario(s, path)
+    assert cli.main(["run", str(path)]) == 1
+    assert "no sparser than the full network" in capsys.readouterr().err
+
+
 def test_offstreet_source_floods_the_attached_skeleton():
     world = build_world(Scenario(n=1024, seed=3, zone_kind="simple",
                                  skeleton="adaptive"))

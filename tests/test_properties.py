@@ -23,7 +23,8 @@ from reference_oracles import centralized_bfs as reference_centralized_bfs
 from reference_oracles import centralized_min_exposure as \
     reference_min_exposure
 from reference_oracles import reference_adaptive_awake, reference_bfs, \
-    reference_leaf_at, reference_perimeter_streets, reference_points_in_region
+    reference_leaf_at, reference_perimeter_streets, \
+    reference_points_in_region, reference_quadtree
 from skeleton_nav.adaptive import build_adaptive_skeleton, build_quadtree
 from skeleton_nav.danger import _EDGE_EPS, DangerZone, points_in_region, \
     zone_node_mask
@@ -194,6 +195,8 @@ def leaf_table_cases(draw):
     positions, sensors sit on the edges and corners of random leaves,
     exactly half a width inside a leaf edge, and beyond the field on every
     side.  Widths k / 32 make those margins equal half a width exactly.
+    Danger points may sit on the half-unit grid, so on cell edges and
+    corners, where they touch two or four unit cells.
     """
     n = draw(st.one_of(st.sampled_from((72, 272, 1056, 1090)),
                        st.integers(16, 1100)))
@@ -203,11 +206,14 @@ def leaf_table_cases(draw):
     if kind == "none":
         zone = None
     elif kind == "points":
-        zone = DangerZone.point_set(
-            rng.uniform(0.0, side, size=(int(rng.integers(1, 6)), 2)))
+        pts = rng.uniform(0.0, side, size=(int(rng.integers(1, 6)), 2))
+        if draw(st.booleans()):
+            pts = np.round(pts * 2.0) / 2.0  # on integer lines and corners
+        zone = DangerZone.point_set(pts)
     else:
         zone = fixture_zone(kind).zone
-    tree = build_quadtree([] if zone is None else zone, side)
+    zones = [] if zone is None else zone
+    tree = build_quadtree(zones, side)
     width = draw(st.one_of(st.integers(1, 96).map(lambda k: k / 32),
                            st.floats(0.05, 3.0)))
     half = width / 2.0
@@ -226,21 +232,28 @@ def leaf_table_cases(draw):
     pos = np.vstack(pts).astype(np.float64)
     g = build_comm_graph(SensorField(n=len(pos), side=side, radio_range=1.0,
                                      seed=0, positions=pos))
-    return g, zone, tree, width
+    return g, zone, tree, reference_quadtree(zones, side), width
 
 
 @EXAMPLES
 @given(leaf_table_cases())
 def test_leaf_table_equals_tree_walk(case):
-    g, zone, tree, width = case
+    g, zone, tree, ref, width = case
+    for k, crossed in enumerate(tree.crossed):
+        s = 1 << k
+        expect = [[ref.tester.crossed(i * s, j * s, s)
+                   for j in range(len(crossed))]
+                  for i in range(len(crossed))]
+        assert np.array_equal(crossed, expect)
     sk = build_adaptive_skeleton(g, zone, tree=tree, width=width)
-    assert sk.awake == reference_adaptive_awake(g, zone, tree, width)
+    assert sk.awake == reference_adaptive_awake(g, zone, ref, width)
     assert sk.provenance == dict.fromkeys(sk.awake,
                                           Provenance.QUADTREE_EDGE)
     mask = zone_node_mask(zone, g.field.positions)
     assert sk.blocked == frozenset(np.flatnonzero(mask).tolist())
     for x, y in g.field.positions.tolist():
-        assert tree.leaf_at(x, y) is reference_leaf_at(tree, x, y)
+        got, leaf = tree.leaf_at(x, y), reference_leaf_at(ref, x, y)
+        assert (got.x0, got.y0, got.size) == (leaf.x0, leaf.y0, leaf.size)
 
 
 def short_edge_polygon(draw, rng) -> np.ndarray:

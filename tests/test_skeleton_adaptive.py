@@ -13,9 +13,10 @@ import math
 import numpy as np
 import pytest
 
-from reference_oracles import reference_adaptive_awake
+from reference_oracles import reference_adaptive_awake, reference_quadtree
 from skeleton_nav.adaptive import (
     Cluster,
+    QuadCell,
     build_adaptive_skeleton,
     build_quadtree,
     clusters_at_level,
@@ -30,17 +31,6 @@ from skeleton_nav.harness import Scenario, fixture_zone, run_scenario
 from skeleton_nav.skeleton import Provenance
 
 UNIT_ZONE = DangerZone.region([(1, 1), (2, 1), (2, 2), (1, 2)])
-
-
-def walk_cells(tree):
-    out = []
-    stack = [tree.root]
-    while stack:
-        cell = stack.pop()
-        out.append(cell)
-        if cell.children is not None:
-            stack.extend(cell.children)
-    return out
 
 
 def unit_segments(tree):
@@ -81,8 +71,8 @@ def test_no_zone_gives_single_root_leaf():
     tree = build_quadtree([], 32.0)
     assert tree.side == 32
     assert tree.levels == 5
-    assert tree.leaves == (tree.root,)
-    assert tree.root.is_leaf and not tree.root.crossed
+    assert tree.leaves == (QuadCell(0, 0, 5),)
+    assert not any(c.any() for c in tree.crossed)
     assert tree.street_length() == 4 * 32
 
 
@@ -111,14 +101,12 @@ def test_leaf_invariants_and_tiling():
         tree = build_quadtree(zone, side)
         assert sum(leaf.size ** 2 for leaf in tree.leaves) == tree.side ** 2
         for leaf in tree.leaves:
-            # only unit cells may still touch the boundary
-            assert leaf.level == 0 or not leaf.crossed
-        for cell in walk_cells(tree):
-            if cell.children is not None:
-                assert cell.crossed
-                assert len(cell.children) == 4
-                assert sum(ch.size ** 2 for ch in cell.children) == \
-                    cell.size ** 2
+            k, i, j = leaf.level, leaf.x0 >> leaf.level, leaf.y0 >> leaf.level
+            assert (i << k, j << k) == (leaf.x0, leaf.y0)
+            # only unit cells may still touch the boundary, and every
+            # leaf but the root has a crossed, hence split, parent
+            assert k == 0 or not tree.crossed[k][i, j]
+            assert k == tree.levels or tree.crossed[k + 1][i // 2, j // 2]
 
 
 def test_street_length_matches_unit_segments():
@@ -135,10 +123,8 @@ def test_crossed_cells_thin_out_per_level():
         tree = build_quadtree(zone, 32.0)
         assert len(tree.leaves) == leaves_expected
         p = perimeter_length(zone)
-        counts = {}
-        for cell in walk_cells(tree):
-            if cell.crossed:
-                counts[cell.level] = counts.get(cell.level, 0) + 1
+        # crossing grows going up, so every crossed cell is in the tree
+        counts = {k: int(c.sum()) for k, c in enumerate(tree.crossed)}
         for k, cnt in counts.items():
             assert cnt <= 4 * p / 2 ** k, f"{name} level {k}: {cnt}"
 
@@ -148,7 +134,7 @@ def test_leaf_at_and_enclosing_cell():
     rng = np.random.default_rng(9)
     for x, y in rng.uniform(0.0, 31.99, size=(100, 2)):
         leaf = tree.leaf_at(float(x), float(y))
-        assert leaf.is_leaf
+        assert leaf in tree.leaves
         assert leaf.x0 <= x < leaf.x0 + leaf.size
         assert leaf.y0 <= y < leaf.y0 + leaf.size
         assert tree.enclosing_cell(float(x), float(y)) == \
@@ -157,7 +143,7 @@ def test_leaf_at_and_enclosing_cell():
     # beyond the field clamp to it
     t44 = build_quadtree(UNIT_ZONE, 4.0)
     assert t44.leaf_at(2.0, 0.5).x0 == 2
-    assert t44.leaf_at(99.0, 99.0) is t44.leaf_at(3.99, 3.99)
+    assert t44.leaf_at(99.0, 99.0) == t44.leaf_at(3.99, 3.99)
 
 
 def test_second_zone_only_refines():
@@ -195,8 +181,8 @@ def test_fixture_skeleton_wakes_leaf_margins(graph_cache):
     mask = zone_node_mask(zone, g.field.positions)
     assert sk.blocked == frozenset(np.flatnonzero(mask).tolist())
     assert not (sk.awake & sk.blocked)
-    assert sk.awake == reference_adaptive_awake(g, zone, sk.geometry,
-                                                2.0 / 3.0)
+    tree = reference_quadtree(zone, g.field.side)
+    assert sk.awake == reference_adaptive_awake(g, zone, tree, 2.0 / 3.0)
 
 
 def test_cluster_membership_and_leaders(graph_cache):

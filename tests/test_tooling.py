@@ -3,10 +3,13 @@
 Both live outside `src/` and reach into it by name.  The tracer skips a
 name it cannot find, so a removed or renamed function would silently read
 0 in the benchmark; the script would fail only when someone runs it.
+Neither may import a private (underscore) name, which the package is free
+to change without notice.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -31,6 +34,30 @@ def test_traced_names_and_script_imports_resolve():
         assert not missing, f"{module} lacks traced names {missing}"
     script = load_by_path("scripts/measure_baselines.py")
     assert all(callable(fn) for fn in script.SECTIONS.values())
+
+
+def private_package_imports(path: Path) -> list[str]:
+    """Underscore names that a file imports from skeleton_nav."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found += [name for name in names
+                  if name.split(".")[0] == "skeleton_nav"
+                  and any(part.startswith("_") for part in name.split("."))]
+    return found
+
+
+def test_tooling_imports_no_private_package_names():
+    files = sorted([*ROOT.glob("scripts/*.py"), *ROOT.glob("navbench/*.py")])
+    assert files
+    private = {str(f.relative_to(ROOT)): names for f in files
+               if (names := private_package_imports(f))}
+    assert not private, f"private skeleton_nav imports: {private}"
 
 
 def test_connectivity_census_contrast():
