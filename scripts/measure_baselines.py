@@ -18,6 +18,7 @@ import resource
 import time
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from skeleton_nav.adaptive import (build_adaptive_skeleton, build_quadtree,
                                    clusters_at_level, detect_voronoi_nodes,
@@ -199,24 +200,27 @@ def section_retire():
 
 def section_attach():
     print("== attach reachability, 50 active pairs, n=1024 seed 5 ==")
-    # built directly, as the test does: these streets wake every active
-    # node, which build_world rejects
+    # built directly, as the test does, at width 2.5: some active nodes
+    # stay asleep, so some endpoints are attached
     g5 = graph(1024, 5)
     zone = fixture_zone("simple").zone
     sk5 = build_uniform_skeleton(
-        g5, zone, UniformStreetConfig(epsilon=1 / 6, width=5.0))
+        g5, zone, UniformStreetConfig(epsilon=1 / 6, width=2.5))
     active = ~zone_node_mask(zone, g5.field.positions)
-    print("awake:", sk5.size, "of", int(active.sum()), "active")
+    _, labels = connected_components(sk5.search.matrix, directed=False)
+    print("awake:", sk5.size, "of", int(active.sum()), "active;",
+          "components:", np.unique(labels[sk5.search.mask]).size)
     rng = np.random.default_rng(123)
     act = np.flatnonzero(active)
-    bad = 0
+    bad = attached = 0
     for _ in range(50):
         a, b = (int(v) for v in rng.choice(act, size=2, replace=False))
         att = attach_offstreet_endpoints(g5, sk5, a, b)
+        attached += att.packets > 0
         run = run_bfs_flood(g5, att.skeleton.awake, a)
         full = centralized_bfs(g5, active, a)
         bad += (run.value[b] != INF) != (full[b] != INF)
-    print("mismatches:", bad)
+    print("attached pairs:", attached, "mismatches:", bad)
 
 
 def section_traces():

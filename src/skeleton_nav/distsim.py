@@ -14,9 +14,12 @@ skeleton's `search`, a world's `oracle`).  The hop flood, the hop oracle and
 the potential phase read hop distances off one csgraph BFS order
 (`field.hop_distances`), whose cost follows the edges the search reaches;
 the flood then takes each node's lowest-id parent from its sorted induced
-row.  The exposure flood relaxes in Python over the induced rows, and its
-oracle is csgraph's Dijkstra.  The depth-capped, multi-source and masked
-searches elsewhere in the package run on `field.bfs_tree`.
+row.  The exposure flood relaxes in Python over the search graph's
+neighbour lists (`ActiveGraph.rows`, built once per graph), and its oracle
+is csgraph's Dijkstra on weights gathered over the search graph's own index
+arrays, with the source's potential folded into its row.  So no query
+copies or converts the index arrays.  The depth-capped, multi-source and
+masked searches elsewhere in the package run on `field.bfs_tree`.
 """
 
 from __future__ import annotations
@@ -132,9 +135,7 @@ def run_min_exposure(graph: CommGraph, active, source: NodeId,
     by the number of strict improvements.  The fixed point equals a
     centralized node-weighted shortest path search.
     """
-    sub = _search_graph(graph, active, source).matrix
-    ptr = sub.indptr.tolist()
-    nbrs = sub.indices.tolist()
+    rows = _search_graph(graph, active, source).rows
     n = graph.n
     value = [INF] * n
     parent = [-1] * n
@@ -151,7 +152,7 @@ def run_min_exposure(graph: CommGraph, active, source: NodeId,
         for u in senders:
             tx[u] += 1
             base = value[u]
-            for v in nbrs[ptr[u]:ptr[u + 1]]:
+            for v in rows[u]:
                 cand = base + potentials[v]
                 if cand < value[v]:
                     value[v] = cand
@@ -250,20 +251,26 @@ def centralized_bfs(graph: CommGraph, active, source: NodeId) -> list[float]:
 
 
 def centralized_min_exposure(graph: CommGraph, active, source: NodeId,
-                             potentials: Sequence[float]) -> list[float]:
+                             potentials: Sequence[float] | np.ndarray
+                             ) -> list[float]:
     """Node-weighted Dijkstra, oracle for the exposure flood (csgraph).
 
-    Entering v costs potentials[v], and a virtual node n enters the source
-    at potentials[source]; each path is summed from the source outward, as
-    the flood sums it, so the values match bit for bit.  Zero potentials
-    stay explicit entries, which csgraph keeps as edges.  `active` is a node
-    set or an `ActiveGraph`; the source must be active.
+    Entering v costs potentials[v].  The source's own potential is added to
+    the weights of the source's row only, and the source's distance is set
+    to it afterwards.  Float addition commutes, so each path is summed from
+    the source outward, (pot[source] + pot[v1]) + pot[v2], as the flood
+    sums it, and the values match bit for bit.  The weights are one
+    gathered array over the search graph's index arrays, which the weighted
+    matrix shares and nothing writes.  Zero potentials stay explicit
+    entries, which csgraph keeps as edges.  `active` is a node set or an
+    `ActiveGraph`; the source must be active.
     """
     mat = _search_graph(graph, active, source).matrix
     pot = np.asarray(potentials, dtype=np.float64)
-    n = graph.n
-    with_entry = csr_matrix(
-        (np.append(pot[mat.indices], pot[source]),
-         np.append(mat.indices, source), np.append(mat.indptr, mat.nnz + 1)),
-        shape=(n + 1, n + 1))
-    return dijkstra(with_entry, indices=n)[:n].tolist()
+    data = pot[mat.indices]
+    data[mat.indptr[source]:mat.indptr[source + 1]] += pot[source]
+    weighted = csr_matrix((data, mat.indices, mat.indptr), shape=mat.shape,
+                          copy=False)
+    dist = dijkstra(weighted, indices=source)
+    dist[source] = pot[source]
+    return dist.tolist()

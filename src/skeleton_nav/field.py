@@ -137,7 +137,16 @@ class CommGraph:
         return counts, self.indices[pos]
 
     def induced(self, mask: np.ndarray) -> csr_matrix:
-        """Unit-weight matrix of the edges with both ends in mask."""
+        """Unit-weight matrix of the edges with both ends in mask.
+
+        With every node in mask it is the graph itself: the matrix shares
+        the read-only `indices`, and its unit weights are one broadcast
+        value, so no array of one entry per edge is copied or made.
+        """
+        if mask.all():
+            ones = np.broadcast_to(np.float64(1.0), self.indices.shape)
+            return csr_matrix((ones, self.indices, self.indptr),
+                              shape=(self.n, self.n), copy=False)
         members = np.flatnonzero(mask)
         counts, nbrs = self.neighbor_runs(members)
         keep = mask[nbrs]
@@ -212,6 +221,29 @@ class ActiveGraph:
         """
         _, labels = connected_components(self.matrix, directed=False)
         return np.bincount(labels)[labels]
+
+    @cached_property
+    def rows(self) -> list[list[NodeId]]:
+        """Per node, its induced neighbours as a sorted Python list.
+
+        Built once from the matrix, for the exposure flood's Python loop;
+        callers read the lists and never change them.  Only masked nodes
+        hold a list of their own; the others, whose induced rows are empty,
+        share one empty list.
+        """
+        members = np.flatnonzero(self.mask)
+        ids = members.tolist()
+        # one int object per member, shared by every row that lists it: a
+        # third of the memory of the fresh ints `indices.tolist()` makes
+        pool = np.empty(len(self.mask), dtype=object)
+        pool[members] = ids
+        nbrs = pool[self.matrix.indices].tolist()
+        ptr = self.matrix.indptr
+        rows: list[list[NodeId]] = [[]] * len(self.mask)
+        for u, a, b in zip(ids, ptr[members].tolist(),
+                           ptr[members + 1].tolist()):
+            rows[u] = nbrs[a:b]
+        return rows
 
 
 def active_graph(graph: CommGraph, active) -> ActiveGraph:

@@ -262,6 +262,14 @@ class World:
         """
         return active_graph(self.graph, self.active)
 
+    @cached_property
+    def potential_array(self) -> np.ndarray:
+        """The potentials as a read-only float64 array, for the exposure
+        oracle; the flood keeps reading the list."""
+        arr = np.asarray(self.potentials, dtype=np.float64)
+        arr.setflags(write=False)
+        return arr
+
 
 @dataclass(frozen=True)
 class MetricsRecord:
@@ -485,7 +493,8 @@ def run_query(world: World, index: int, src: int, dst: int) -> MetricsRecord:
         run = run_min_exposure(g, sk.search, src, pot)
         pk_sg += run.total_packets
         res = extract_path(run, dst, g, potentials=pot)
-        best = centralized_min_exposure(g, world.oracle, src, pot)
+        best = centralized_min_exposure(g, world.oracle, src,
+                                        world.potential_array)
         full_ok = best[dst] != INF
         if "path" not in s.metrics:
             reach_full, reach_sg = full_ok, res.reachable

@@ -16,9 +16,11 @@ from scipy.sparse.csgraph import shortest_path
 from skeleton_nav.field import (
     CommGraph,
     SensorField,
+    active_graph,
     build_comm_graph,
     generate_field,
     hop_bfs,
+    hop_distances,
     nearest_node,
 )
 
@@ -130,6 +132,23 @@ def test_adjacency_sorted_without_self_loops(graph_cache):
         assert list(nbrs) == sorted(nbrs)
     assert g.edge_count() == sum(len(a) for a in g.adj) // 2
     assert g.neighbors(5) == g.adj[5]
+
+
+def test_induced_over_every_node_shares_the_graph(graph_cache):
+    g = graph_cache(256, 3.0, 3)
+    mask = np.ones(g.n, dtype=bool)
+    full = g.induced(mask)
+    assert np.shares_memory(full.indices, g.indices)
+    assert np.array_equal(full.indptr, g.indptr)
+    assert np.array_equal(full.indices, g.indices)
+    assert full.data.tolist() == [1.0] * len(g.indices)
+    # one node out takes the general path; the other rows must agree
+    mask[7] = False
+    keep = np.flatnonzero(mask)
+    part = g.induced(mask)
+    assert (full[keep][:, keep] != part[keep][:, keep]).nnz == 0
+    assert hop_distances(active_graph(g, None), 0).tolist() == \
+        scipy_hops(g, 0)
 
 
 def test_hop_bfs_matches_scipy_oracle():

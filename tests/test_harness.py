@@ -229,6 +229,33 @@ def test_run_query_packet_bookkeeping():
     assert rec.scenario_hash == world.scenario.digest
 
 
+def test_exposure_queries_reuse_world_state():
+    world = build_world(Scenario(
+        n=1024, seed=9, zone_kind="points", danger_count=3, danger_seed=17,
+        skeleton="adaptive", width=3.0, voronoi=True, queries=3,
+        query_seed=21, metrics=("exposure",)))
+    pairs = sample_queries(world)
+    search = world.skeleton.search
+    mat = world.oracle.matrix
+    # no node is in a points zone: the oracle shares the comm graph's arrays
+    assert world.active.all()
+    assert np.shares_memory(mat.indices, world.graph.indices)
+    before = [a.copy() for a in (mat.data, mat.indices, mat.indptr)]
+    cached = []
+    for i, (a, b) in enumerate(pairs):
+        rec = run_query(world, i, a, b)
+        assert rec.packets_attach == 0 and rec.exposure_opt is not None
+        assert world.skeleton.search is search
+        cached.append((vars(search)["rows"],  # filled by the first flood
+                       vars(world)["potential_array"]))
+    assert all(c[0] is cached[0][0] and c[1] is cached[0][1] for c in cached)
+    pot = world.potential_array
+    assert not pot.flags.writeable and pot.tolist() == world.potentials
+    after = (mat.data, mat.indices, mat.indptr)
+    assert all(x.dtype == y.dtype and np.array_equal(x, y)
+               for x, y in zip(before, after))
+
+
 def test_disconnected_pairs_are_flagged_and_excluded():
     s = Scenario(n=64, radio_range=1.0, seed=0, skeleton="full",
                  queries=10, query_seed=0)

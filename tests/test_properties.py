@@ -71,15 +71,30 @@ def test_hop_oracle_equals_reference(inst):
 
 
 @EXAMPLES
-@given(instances())
-def test_exposure_oracle_equals_reference(inst):
+@given(instances(), st.booleans())
+def test_exposure_oracle_equals_reference(inst, isolate):
     g, active, src, rng = inst
+    if isolate:  # the source hears no active neighbour
+        active[list(g.neighbors(src))] = False
+    other = int(rng.choice(np.flatnonzero(active)))
     pot = potentials(rng, g.n)
     members = frozenset(np.flatnonzero(active).tolist())
     expect = reference_min_exposure(g, members, src, pot)
     assert centralized_min_exposure(g, members, src, pot) == expect
+    # two queries in turn on one prebuilt graph, potentials as a read-only
+    # float64 array: the oracle shares the graph's index arrays, so it must
+    # leave them as they were, and the second query must not see the first
     prebuilt = active_graph(g, active)
-    assert centralized_min_exposure(g, prebuilt, src, pot) == expect
+    mat = prebuilt.matrix
+    before = [a.copy() for a in (mat.data, mat.indices, mat.indptr)]
+    pot_array = np.array(pot, dtype=np.float64)
+    pot_array.setflags(write=False)
+    assert centralized_min_exposure(g, prebuilt, src, pot_array) == expect
+    assert centralized_min_exposure(g, prebuilt, other, pot_array) == \
+        reference_min_exposure(g, members, other, pot)
+    after = (mat.data, mat.indices, mat.indptr)
+    assert all(a.dtype == b.dtype and np.array_equal(a, b)
+               for a, b in zip(before, after))
 
 
 @EXAMPLES
@@ -178,12 +193,15 @@ def test_floods_on_search_graph_equal_node_set_floods(inst):
         mask[nodes] = True
         assert (cached.value, cached.parent) == \
             reference_bfs(g, [src], mask)
-        lines, again = [], []
-        cached = run_min_exposure(g, skel.search, src, pot,
-                                  trace=lines.append)
-        plain = run_min_exposure(g, skel.awake, src, pot, trace=again.append)
-        assert _run_fields(cached) == _run_fields(plain)
-        assert lines == again
+        # the second exposure flood reads the neighbour lists the first built
+        for start in (src, nodes[int(rng.integers(len(nodes)))]):
+            lines, again = [], []
+            cached = run_min_exposure(g, skel.search, start, pot,
+                                      trace=lines.append)
+            plain = run_min_exposure(g, skel.awake, start, pot,
+                                     trace=again.append)
+            assert _run_fields(cached) == _run_fields(plain)
+            assert lines == again
 
 
 @st.composite

@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 from skeleton_nav.danger import DangerZone, boundary_nodes, zone_node_mask
 from skeleton_nav.field import hop_bfs
@@ -280,16 +281,24 @@ def test_attach_floods_destination_cell(graph_cache):
 
 def test_attach_preserves_reachability(graph_cache):
     # arbitrary active endpoints, simple zone: after attachment the skeleton
-    # reaches the destination whenever the full active graph does
+    # reaches the destination whenever the full active graph does.  Width
+    # 2.5 leaves some active nodes asleep, so some endpoints need attaching,
+    # and keeps the streets in one piece, which reachability relies on.
     g = graph_cache(1024, 3.0, 5)
     zone = fixture_zone("simple").zone
     sk = build_uniform_skeleton(
-        g, zone, UniformStreetConfig(epsilon=1 / 6, width=5.0))
+        g, zone, UniformStreetConfig(epsilon=1 / 6, width=2.5))
+    _, labels = connected_components(sk.search.matrix, directed=False)
+    assert np.unique(labels[sk.search.mask]).size == 1
     active = sorted(set(range(g.n)) - set(sk.blocked))
+    assert sk.size < len(active)
     rng = np.random.default_rng(123)
+    attached = 0
     for _ in range(50):
         a, b = (int(v) for v in rng.choice(active, size=2, replace=False))
         res = attach_offstreet_endpoints(g, sk, a, b)
+        attached += res.packets > 0
         dist_sk, _ = hop_bfs(g, a, set(range(g.n)) - res.skeleton.awake)
         dist_full, _ = hop_bfs(g, a, sk.blocked)
         assert (dist_sk[b] != math.inf) == (dist_full[b] != math.inf)
+    assert attached > 0
