@@ -8,7 +8,8 @@ with a margin.  Run a section again before touching a constant:
 
 With no --section the whole sweep runs; the gate-level sections take
 about a minute combined.  The census-scaling section builds worlds up to
-n = 2^20 and prints the process's own peak RSS.
+n = 2^20 and prints the process's own peak RSS; the query-scaling section
+times one query's skeleton flood and hop oracle up to n = 2^18.
 """
 from __future__ import annotations
 
@@ -209,7 +210,7 @@ def section_attach():
     active = ~zone_node_mask(zone, g5.field.positions)
     _, labels = connected_components(sk5.search.matrix, directed=False)
     print("awake:", sk5.size, "of", int(active.sum()), "active;",
-          "components:", np.unique(labels[sk5.search.mask]).size)
+          "components:", np.unique(labels).size)
     rng = np.random.default_rng(123)
     act = np.flatnonzero(active)
     bad = attached = 0
@@ -434,6 +435,39 @@ def section_census_scaling():
               "per step " + " ".join(f"{x:.3f}" for x in local))
 
 
+def section_query_scaling():
+    print("== per-query search cost, path-region construction, "
+          "n = 2^14, 2^16, 2^18, 20 snapped queries ==")
+    # complex zone, adaptive skeleton, default width; each figure is the
+    # median of three calls per query, averaged over the queries
+    def per_query_ms(fn, pairs):
+        runs = []
+        for a, b in pairs:
+            times = []
+            for _ in range(3):
+                t0 = time.perf_counter()
+                fn(a, b)
+                times.append(time.perf_counter() - t0)
+            runs.append(sorted(times)[1])
+        return float(np.mean(runs)) * 1e3
+
+    for k in (14, 16, 18):
+        s = Scenario(n=2 ** k, seed=1, zone_kind="complex",
+                     skeleton="adaptive", queries=20, query_seed=2,
+                     metrics=("path",))
+        world = build_world(s)
+        pairs = sample_queries(world)
+        g, search, oracle = world.graph, world.skeleton.search, world.oracle
+        flood = per_query_ms(lambda a, b: run_bfs_flood(g, search, a), pairs)
+        hops = per_query_ms(
+            lambda a, b: centralized_bfs(g, oracle, a, target=b), pairs)
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        print(f"n=2^{k}: awake {world.skeleton.size}, skeleton flood "
+              f"{flood:.3f} ms, hop oracle {hops:.3f} ms per query, "
+              f"peak RSS so far {peak:.0f} MB")
+        del world, g, search, oracle
+
+
 SECTIONS = {
     "census": section_census,
     "census-scaling": section_census_scaling,
@@ -451,6 +485,7 @@ SECTIONS = {
     "parity": section_parity,
     "flood": section_flood,
     "oracles": section_oracles,
+    "query-scaling": section_query_scaling,
 }
 
 

@@ -25,17 +25,17 @@ import numpy as np
 from .danger import DangerZone, boundary_tolerance, points_in_region, \
     zone_node_mask
 from .field import CommGraph, NodeId, active_graph, hop_distances, \
-    nearest_node, node_mask
+    nearest_node
 from .skeleton import Provenance, SkeletonGraph, default_street_width
 
 _GRID_EPS = 1e-9
 
 
 def _pow2_side(side: float) -> int:
-    """Smallest power of two no smaller than the (rounded) field side."""
-    target = max(1, round(side))
+    """Smallest power of two no smaller than the field side, so the tree
+    covers the whole field."""
     out = 1
-    while out < target - _GRID_EPS:
+    while out < side - _GRID_EPS:
         out *= 2
     return out
 
@@ -373,21 +373,21 @@ def detect_voronoi_nodes(graph: CommGraph, sources, active=None,
     Needs at least two sources.  Duplicate (collocated) sources make nearly
     every sensor equidistant; such a band is flagged degenerate.
     """
-    mask = node_mask(graph.n, active)
-    ids = np.flatnonzero(mask)
+    search = active_graph(graph, active)
+    ids = search.ids
     if distance_tables is None:
         pts = np.asarray(sources, dtype=np.float64)
         if pts.ndim != 2 or len(pts) < 2:
             raise ValueError("need at least two danger points")
-        search = active_graph(graph, mask)
-        distance_tables = []
-        for p in pts:
-            src = nearest_node(graph.field, (float(p[0]), float(p[1])), ids)
-            distance_tables.append(hop_distances(search, src))
-    if len(distance_tables) < 2:
+        # per source, hop distances by local id: the tables' active columns
+        hops = [hop_distances(search, search.index(nearest_node(
+            graph.field, (float(p[0]), float(p[1])), ids))) for p in pts]
+    else:
+        hops = np.asarray(distance_tables)[:, ids]
+    if len(hops) < 2:
         raise ValueError("need at least two danger points")
     # each node's two smallest hop distances over all sources
-    d0, d1 = np.sort(np.asarray(distance_tables)[:, ids], axis=0)[:2]
+    d0, d1 = np.sort(np.asarray(hops), axis=0)[:2]
     band = ids[np.isfinite(d1) & (d1 <= d0 + max_gap)]
     degenerate = ids.size > 0 and band.size >= degenerate_fraction * ids.size
     return VoronoiBand(nodes=frozenset(band.tolist()), degenerate=degenerate)

@@ -10,16 +10,24 @@ estimated.
 Searches take the active subgraph as a node set (None: every node) or as a
 prebuilt `field.ActiveGraph`; a node set is turned into one on each call, so
 callers that search the same set repeatedly build it once and pass it (a
-skeleton's `search`, a world's `oracle`).  The hop flood, the hop oracle and
-the potential phase read hop distances off one csgraph BFS order
+skeleton's `search`, a world's `oracle`).  The floods run on the search
+graph's local ids: their state is k-length for a set of k nodes, and a
+`SimRun` keeps it, building the n-length `value`, `parent` and
+`transmissions` lists only when they are read; `extract_path` walks the
+local parents.  Trace lines name nodes by node id.  The hop flood, the hop
+oracle and the potential phase read hop distances off one csgraph BFS order
 (`field.hop_distances`), whose cost follows the edges the search reaches;
 the flood then takes each node's lowest-id parent from its sorted induced
 row.  The exposure flood relaxes in Python over the search graph's
 neighbour lists (`ActiveGraph.rows`, built once per graph), and its oracle
 is csgraph's Dijkstra on weights gathered over the search graph's own index
-arrays, with the source's potential folded into its row.  So no query
-copies or converts the index arrays.  The depth-capped, multi-source and
-masked searches elsewhere in the package run on `field.bfs_tree`.
+arrays, with the source's potential folded into its row.
+
+Both oracles return the full n-length table by default.  Given a `target`
+they answer for that node alone: the hop oracle counts hops up the BFS
+predecessor chain, and the exposure oracle also takes a `limit` at which
+Dijkstra stops.  The depth-capped, multi-source and masked searches
+elsewhere in the package run on `field.bfs_tree`.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
 from .danger import PotentialModel, potential_of_distance
 from .field import ActiveGraph, CommGraph, NodeId, active_graph, \
@@ -50,19 +58,54 @@ class PacketKind(Enum):
 
 @dataclass(eq=False)
 class SimRun:
-    """Outcome of one distributed run: per-node state plus packet accounting."""
+    """Outcome of one distributed run: per-node state plus packet accounting.
+
+    The state is held per local id of the search graph (`ids` maps local
+    ids to node ids): each node's value, its parent's local id (-1: none)
+    and its transmission count.  `value`, `parent` and `transmissions`
+    spread it over all n nodes, built on first read.
+    """
 
     kind: PacketKind
     source: NodeId
-    value: list[float]           # hop distance or accumulated exposure
-    parent: list[NodeId]
-    transmissions: list[int]
     rounds: int
+    total_packets: int
+    ids: np.ndarray
+    local_value: Sequence[float]   # hop distance or accumulated exposure
+    local_parent: Sequence[int]
+    local_tx: Sequence[int]
+    n: int
+
+    def local(self, node: NodeId) -> int:
+        """The local id of a node, or -1 if the search graph lacks it."""
+        i = int(np.searchsorted(self.ids, node))
+        return i if i < self.ids.size and self.ids[i] == node else -1
+
+    def value_at(self, node: NodeId) -> float:
+        """One node's value, read from the local state (inf: unreached)."""
+        i = self.local(node)
+        return INF if i < 0 else float(self.local_value[i])
 
     @cached_property
-    def total_packets(self) -> int:
-        """Transmissions summed once; the per-node counts do not change."""
-        return sum(self.transmissions)
+    def value(self) -> list[float]:
+        return _spread(self.ids, self.local_value, self.n, INF)
+
+    @cached_property
+    def parent(self) -> list[NodeId]:
+        local = np.asarray(self.local_parent, dtype=np.int64)
+        return _spread(self.ids, np.where(local >= 0, self.ids[local], -1),
+                       self.n, -1)
+
+    @cached_property
+    def transmissions(self) -> list[int]:
+        return _spread(self.ids, self.local_tx, self.n, 0)
+
+
+def _spread(ids: np.ndarray, local, n: int, fill) -> list:
+    """Per-local-id values as a list over all n nodes, `fill` elsewhere."""
+    out = np.full(n, fill)
+    out[ids] = local
+    return out.tolist()
 
 
 @dataclass(frozen=True)
@@ -77,12 +120,14 @@ class PathResult:
     packets: int                 # transmissions spent by the search
 
 
-def _search_graph(graph: CommGraph, active, source: NodeId) -> ActiveGraph:
-    """The search input as an `ActiveGraph`; the source must be active."""
+def _search_graph(graph: CommGraph, active, source: NodeId
+                  ) -> tuple[ActiveGraph, int]:
+    """The search input as an `ActiveGraph` and the source's local id; the
+    source must be active."""
     active = active_graph(graph, active)
     if not (0 <= source < graph.n and active.mask[source]):
         raise ValueError(f"source {source} is not active")
-    return active
+    return active, active.index(source)
 
 
 def run_bfs_flood(graph: CommGraph, active, source: NodeId,
@@ -94,36 +139,37 @@ def run_bfs_flood(graph: CommGraph, active, source: NodeId,
     from depth and parent: events go by round (the sender's depth), then
     sender, then receiver.
     """
-    search = _search_graph(graph, active, source)
-    dist = hop_distances(search, source)
+    search, s = _search_graph(graph, active, source)
+    dist = hop_distances(search, s)
     # each induced row is sorted, so a heard node's first neighbour one
     # level up is its lowest-id sender
     mat = search.matrix
-    rows = np.repeat(np.arange(graph.n), np.diff(mat.indptr))
+    rows = np.repeat(np.arange(dist.size), np.diff(mat.indptr))
     depth = dist[rows]
     up = (dist[mat.indices] == depth - 1) & (depth < INF)
     rows, senders = rows[up], mat.indices[up]
     first = np.ones(rows.size, dtype=bool)
     first[1:] = rows[1:] != rows[:-1]
-    parent = np.full(graph.n, -1, dtype=np.int64)
+    parent = np.full(dist.size, -1, dtype=np.int64)
     parent[rows[first]] = senders[first]
     reached = np.isfinite(dist)
-    value = dist.tolist()
-    parents = parent.tolist()
     if trace is not None:
         heard = rows[first]
-        order = np.lexsort((heard, parent[heard], dist[heard]))
-        for v in heard[order].tolist():
-            hops = int(value[v])
-            trace(f"{hops - 1} {parents[v]} {v} {PacketKind.SEARCH.value} "
-                  f"{hops}")
-    return SimRun(kind=PacketKind.SEARCH, source=source, value=value,
-                  parent=parents, transmissions=reached.astype(int).tolist(),
-                  rounds=int(dist[reached].max()) + 1)
+        heard = heard[np.lexsort((heard, parent[heard], dist[heard]))]
+        ids = search.ids
+        for hops, u, v in zip(dist[heard].astype(int).tolist(),
+                              ids[parent[heard]].tolist(),
+                              ids[heard].tolist()):
+            trace(f"{hops - 1} {u} {v} {PacketKind.SEARCH.value} {hops}")
+    return SimRun(kind=PacketKind.SEARCH, source=source,
+                  rounds=int(dist[reached].max()) + 1,
+                  total_packets=int(np.count_nonzero(reached)),
+                  ids=search.ids, local_value=dist, local_parent=parent,
+                  local_tx=reached.astype(np.int64), n=graph.n)
 
 
 def run_min_exposure(graph: CommGraph, active, source: NodeId,
-                     potentials: Sequence[float],
+                     potentials: Sequence[float] | np.ndarray,
                      trace: TraceFn | None = None,
                      order_seed: int | None = None) -> SimRun:
     """Flood where packets accumulate node potentials and only improvements
@@ -133,15 +179,20 @@ def run_min_exposure(graph: CommGraph, active, source: NodeId,
     does not strictly improve on that is dropped.  A node forwards at most
     once per round, carrying its current best, so transmissions are bounded
     by the number of strict improvements.  The fixed point equals a
-    centralized node-weighted shortest path search.
+    centralized node-weighted shortest path search.  Senders go in
+    ascending local id, which is ascending node id.
     """
-    rows = _search_graph(graph, active, source).rows
-    n = graph.n
-    value = [INF] * n
-    parent = [-1] * n
-    tx = [0] * n
-    value[source] = float(potentials[source])
-    scheduled = {source}
+    search, src = _search_graph(graph, active, source)
+    rows = search.rows
+    ids = search.ids
+    pot = np.asarray(potentials, dtype=np.float64)[ids].tolist()
+    k = len(pot)
+    value = [INF] * k
+    parent = [-1] * k
+    tx = [0] * k
+    value[src] = pot[src]
+    names = ids.tolist() if trace is not None else None
+    scheduled = {src}
     rng = np.random.default_rng(order_seed) if order_seed is not None else None
     rounds = 0
     while scheduled:
@@ -153,17 +204,19 @@ def run_min_exposure(graph: CommGraph, active, source: NodeId,
             tx[u] += 1
             base = value[u]
             for v in rows[u]:
-                cand = base + potentials[v]
+                cand = base + pot[v]
                 if cand < value[v]:
                     value[v] = cand
                     parent[v] = u
                     scheduled.add(v)
-                    if trace is not None:
-                        trace(f"{rounds} {u} {v} "
+                    if names is not None:
+                        trace(f"{rounds} {names[u]} {names[v]} "
                               f"{PacketKind.EXPOSURE_SEARCH.value} {cand:.17g}")
         rounds += 1
-    return SimRun(kind=PacketKind.EXPOSURE_SEARCH, source=source, value=value,
-                  parent=parent, transmissions=tx, rounds=rounds)
+    return SimRun(kind=PacketKind.EXPOSURE_SEARCH, source=source,
+                  rounds=rounds, total_packets=sum(tx), ids=ids,
+                  local_value=value, local_parent=parent, local_tx=tx,
+                  n=graph.n)
 
 
 @dataclass(eq=False)
@@ -182,51 +235,57 @@ def run_potential_phase(graph: CommGraph, active, model: PotentialModel
 
     Every active node ends up knowing its hop distance to each source and its
     summed potential.  Unreached nodes contribute nothing (infinite range).
-    `active` is a node set or an `ActiveGraph`.
+    `active` is a node set or an `ActiveGraph`.  The floods run in local
+    ids; each table and the potentials are spread over all n nodes once.
     """
     active = active_graph(graph, active)
-    candidates = np.flatnonzero(active.mask)
-    if not candidates.size:
+    ids = active.ids
+    if not ids.size:
         raise ValueError("no active nodes to flood")
     source_nodes = []
     tables = []
     packets = 0
-    potentials = np.zeros(graph.n)
+    summed = np.zeros(ids.size)
     for sx, sy in model.sources:
-        src = nearest_node(graph.field, (float(sx), float(sy)), candidates)
+        src = nearest_node(graph.field, (float(sx), float(sy)), ids)
         source_nodes.append(src)
-        dist = hop_distances(active, src)
-        tables.append(dist.tolist())
+        dist = hop_distances(active, active.index(src))
+        tables.append(_spread(ids, dist, graph.n, INF))
         reached = np.isfinite(dist)
         packets += int(reached.sum())  # every reached node forwards once
         hops = dist[reached].astype(np.int64)
         # the law evaluated once per hop count, then added source by source
         law = np.array([potential_of_distance(model, float(d))
                         for d in range(int(hops.max()) + 1)])
-        potentials[reached] += law[hops]
+        summed[reached] += law[hops]
     return PotentialPhase(source_nodes=tuple(source_nodes),
                           distance_tables=tables,
-                          potentials=potentials.tolist(), packets=packets)
+                          potentials=_spread(ids, summed, graph.n, 0.0),
+                          packets=packets)
 
 
 def extract_path(run: SimRun, destination: NodeId, graph: CommGraph,
                  potentials: Sequence[float] | None = None) -> PathResult:
-    """Walk parents back from the destination and measure the route."""
-    if run.value[destination] == INF:
+    """Walk parents back from the destination and measure the route.
+
+    The walk reads the run's local state, so it costs the route's length.
+    """
+    node = run.local(destination)
+    if node < 0 or run.local_value[node] == INF:
         return PathResult(nodes=(), hops=0, length=0.0, exposure=None,
                           reachable=False, packets=run.total_packets)
-    chain = [destination]
-    node = destination
-    for _ in range(graph.n + 1):
-        if node == run.source:
+    source = run.local(run.source)
+    chain = [node]
+    for _ in range(run.ids.size + 1):
+        if node == source:
             break
-        node = run.parent[node]
+        node = int(run.local_parent[node])
         if node == -1:
             raise RuntimeError("broken parent chain")
         chain.append(node)
     else:
         raise RuntimeError("parent chain has a cycle")
-    chain.reverse()
+    chain = run.ids[chain[::-1]].tolist()
     pos = graph.field.positions
     length = 0.0
     for a, b in zip(chain, chain[1:]):
@@ -235,24 +294,44 @@ def extract_path(run: SimRun, destination: NodeId, graph: CommGraph,
     if potentials is not None:
         exposure = float(sum(potentials[v] for v in chain))
     elif run.kind is PacketKind.EXPOSURE_SEARCH:
-        exposure = float(run.value[destination])
+        exposure = run.value_at(destination)
     return PathResult(nodes=tuple(chain), hops=len(chain) - 1, length=length,
                       exposure=exposure, reachable=True,
                       packets=run.total_packets)
 
 
-def centralized_bfs(graph: CommGraph, active, source: NodeId) -> list[float]:
-    """Reference hop distances, oracle for the flood (csgraph BFS order).
+def centralized_bfs(graph: CommGraph, active, source: NodeId, *,
+                    target: NodeId | None = None) -> list[float] | float:
+    """Reference hop distances, oracle for the flood (csgraph BFS).
 
     `active` is a node set (None: every node) or an `ActiveGraph`; the
-    source must be active.
+    source must be active.  Without a target the result is the list over
+    all n nodes.  With one it is the hop distance to the target alone (inf:
+    unreached), read off the BFS predecessor chain one hop per step, with
+    no per-level depth recovery and no list.
     """
-    return hop_distances(_search_graph(graph, active, source), source).tolist()
+    search, s = _search_graph(graph, active, source)
+    if target is None:
+        return _spread(search.ids, hop_distances(search, s), graph.n, INF)
+    if not search.mask[target]:
+        return INF
+    _, pred = breadth_first_order(search.matrix, s, directed=True,
+                                  return_predecessors=True)
+    node = search.index(target)
+    hops = 0
+    while node != s:
+        node = int(pred[node])
+        if node < 0:
+            return INF
+        hops += 1
+    return float(hops)
 
 
 def centralized_min_exposure(graph: CommGraph, active, source: NodeId,
-                             potentials: Sequence[float] | np.ndarray
-                             ) -> list[float]:
+                             potentials: Sequence[float] | np.ndarray, *,
+                             target: NodeId | None = None,
+                             limit: float | None = None
+                             ) -> list[float] | float:
     """Node-weighted Dijkstra, oracle for the exposure flood (csgraph).
 
     Entering v costs potentials[v].  The source's own potential is added to
@@ -264,13 +343,24 @@ def centralized_min_exposure(graph: CommGraph, active, source: NodeId,
     matrix shares and nothing writes.  Zero potentials stay explicit
     entries, which csgraph keeps as edges.  `active` is a node set or an
     `ActiveGraph`; the source must be active.
+
+    Without a target the result is the list over all n nodes; with one it
+    is the exposure at the target alone (inf: unreached).  `limit` stops
+    the search at that exposure: nodes within it keep their exact values,
+    and the others read inf.
     """
-    mat = _search_graph(graph, active, source).matrix
-    pot = np.asarray(potentials, dtype=np.float64)
-    data = pot[mat.indices]
-    data[mat.indptr[source]:mat.indptr[source + 1]] += pot[source]
+    search, s = _search_graph(graph, active, source)
+    mat = search.matrix
+    pot = np.asarray(potentials, dtype=np.float64)[search.ids]
+    data = pot.take(mat.indices)  # faster than fancy indexing by int32
+    data[mat.indptr[s]:mat.indptr[s + 1]] += pot[s]
     weighted = csr_matrix((data, mat.indices, mat.indptr), shape=mat.shape,
                           copy=False)
-    dist = dijkstra(weighted, indices=source)
-    dist[source] = pot[source]
-    return dist.tolist()
+    dist = dijkstra(weighted, indices=s,
+                    limit=INF if limit is None else limit)
+    dist[s] = pot[s]
+    if target is None:
+        return _spread(search.ids, dist, graph.n, INF)
+    if not search.mask[target]:
+        return INF
+    return float(dist[search.index(target)])

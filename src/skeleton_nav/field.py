@@ -15,11 +15,15 @@ builds them.  Hop searches run on one of two BFS engines over them:
   parent chain on a mask built for one use: the expanding-ring attach,
   perimeter streets and street pruning.
 * `hop_distances`, scipy's `csgraph.breadth_first_order` on an
-  `ActiveGraph` (a node set's mask plus its induced matrix, built once and
-  reused), serves the single-source searches that run to full depth: the
-  skeleton hop flood, the centralized hop oracle, the potential phase and
-  the Voronoi hop tables.  Its cost follows the edges it reaches, so a
-  search over a skeleton costs time in proportion to the skeleton.
+  `ActiveGraph`, serves the single-source searches that run to full depth:
+  the skeleton hop flood, the centralized hop oracle, the potential phase
+  and the Voronoi hop tables.  An `ActiveGraph` relabels a node set of k
+  nodes to local ids 0..k-1 in ascending id order and holds its k x k
+  induced matrix, built once from the members' CSR rows and reused.  A
+  search over it takes and returns local ids and allocates k-length
+  arrays, so a search over a skeleton costs time in proportion to the
+  skeleton, not to n.  Callers that need a table over all n nodes spread
+  the local one once.
 """
 
 from __future__ import annotations
@@ -137,24 +141,28 @@ class CommGraph:
         return counts, self.indices[pos]
 
     def induced(self, mask: np.ndarray) -> csr_matrix:
-        """Unit-weight matrix of the edges with both ends in mask.
+        """Unit-weight k x k matrix of the edges among the k nodes in mask.
 
-        With every node in mask it is the graph itself: the matrix shares
-        the read-only `indices`, and its unit weights are one broadcast
-        value, so no array of one entry per edge is copied or made.
+        Rows and columns are local ids: local id i stands for the i-th
+        masked node in ascending id order.  The unit weights are one
+        broadcast value, so no array of one entry per edge is made for
+        them.  With every node in mask the local ids are the node ids and
+        the matrix is the graph itself: it shares the read-only `indices`.
         """
-        if mask.all():
-            ones = np.broadcast_to(np.float64(1.0), self.indices.shape)
-            return csr_matrix((ones, self.indices, self.indptr),
-                              shape=(self.n, self.n), copy=False)
-        members = np.flatnonzero(mask)
-        counts, nbrs = self.neighbor_runs(members)
-        keep = mask[nbrs]
-        rows = np.repeat(members, counts)[keep]
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
-        return csr_matrix((np.ones(len(rows)), nbrs[keep], indptr),
-                          shape=(self.n, self.n))
+        indptr, indices = self.indptr, self.indices
+        if not mask.all():
+            counts, nbrs = self.neighbor_runs(np.flatnonzero(mask))
+            keep = mask[nbrs]
+            local = np.cumsum(mask, dtype=np.int32) - 1  # node id -> local id
+            indices = local[nbrs[keep]]
+            del nbrs
+            # row i starts after the entries kept in the rows before it
+            kept = np.zeros(keep.size + 1, dtype=np.int32)
+            np.cumsum(keep, out=kept[1:])
+            indptr = kept[np.concatenate(([0], np.cumsum(counts)))]
+        ones = np.broadcast_to(np.float64(1.0), indices.shape)
+        k = indptr.size - 1
+        return csr_matrix((ones, indices, indptr), shape=(k, k), copy=False)
 
 
 def _csr_arrays(field: SensorField, members: np.ndarray | None
@@ -208,42 +216,49 @@ def node_mask(n: int, nodes: Collection[NodeId] | np.ndarray | None
 
 @dataclass(frozen=True, eq=False)
 class ActiveGraph:
-    """A node set as a mask plus its induced unit-weight csgraph matrix."""
+    """A node set relabelled to local ids, with its induced matrix.
+
+    Local id i stands for node ``ids[i]``, the i-th member in ascending id
+    order, so relabelling keeps the order of node ids.  `matrix` is the
+    k x k unit-weight csgraph matrix of the edges among the k members, so
+    a search over it allocates and returns k-length arrays, whatever n is.
+    Over every node the local ids are the node ids.
+    """
 
     mask: np.ndarray
     matrix: csr_matrix
 
     @cached_property
-    def component_sizes(self) -> np.ndarray:
-        """Per node, the size of its connected component (inactive: 1).
+    def ids(self) -> np.ndarray:
+        """(k,) int64 member ids, ascending: local id -> node id."""
+        return np.flatnonzero(self.mask)
 
-        A search from an active node reaches exactly its component.
+    def index(self, node: NodeId) -> int:
+        """The local id of a member node."""
+        return int(np.searchsorted(self.ids, node))
+
+    @cached_property
+    def component_sizes(self) -> np.ndarray:
+        """Per local id, the size of its connected component.
+
+        A search from a member reaches exactly its component.
         """
         _, labels = connected_components(self.matrix, directed=False)
         return np.bincount(labels)[labels]
 
     @cached_property
-    def rows(self) -> list[list[NodeId]]:
-        """Per node, its induced neighbours as a sorted Python list.
+    def rows(self) -> list[list[int]]:
+        """Per local id, its neighbours' local ids as a sorted Python list.
 
         Built once from the matrix, for the exposure flood's Python loop;
-        callers read the lists and never change them.  Only masked nodes
-        hold a list of their own; the others, whose induced rows are empty,
-        share one empty list.
+        callers read the lists and never change them.
         """
-        members = np.flatnonzero(self.mask)
-        ids = members.tolist()
-        # one int object per member, shared by every row that lists it: a
-        # third of the memory of the fresh ints `indices.tolist()` makes
-        pool = np.empty(len(self.mask), dtype=object)
-        pool[members] = ids
+        # one int object per local id, shared by every row that lists it:
+        # a third of the memory of the fresh ints `indices.tolist()` makes
+        pool = np.arange(self.matrix.shape[0]).astype(object)
         nbrs = pool[self.matrix.indices].tolist()
-        ptr = self.matrix.indptr
-        rows: list[list[NodeId]] = [[]] * len(self.mask)
-        for u, a, b in zip(ids, ptr[members].tolist(),
-                           ptr[members + 1].tolist()):
-            rows[u] = nbrs[a:b]
-        return rows
+        ptr = self.matrix.indptr.tolist()
+        return [nbrs[a:b] for a, b in zip(ptr[:-1], ptr[1:])]
 
 
 def active_graph(graph: CommGraph, active) -> ActiveGraph:
@@ -257,8 +272,9 @@ def active_graph(graph: CommGraph, active) -> ActiveGraph:
     return ActiveGraph(mask=mask, matrix=graph.induced(mask))
 
 
-def hop_distances(search: ActiveGraph, source: NodeId) -> np.ndarray:
-    """Float64 hop distances from source in the active set (inf: unreached).
+def hop_distances(search: ActiveGraph, source: int) -> np.ndarray:
+    """Float64 hop distances from a local source, per local id (inf:
+    unreached).
 
     One csgraph BFS gives the reached nodes in visiting order.  Along that
     order the predecessors' positions never decrease, so level d + 1 ends
@@ -266,7 +282,8 @@ def hop_distances(search: ActiveGraph, source: NodeId) -> np.ndarray:
     """
     order, pred = breadth_first_order(search.matrix, source, directed=True,
                                       return_predecessors=True)
-    pos = np.empty(len(search.mask), dtype=np.int64)
+    k = search.matrix.shape[0]
+    pos = np.empty(k, dtype=np.int64)
     pos[order] = np.arange(order.size)
     up = pos[pred[order[1:]]]  # predecessor position of order[1:]
     depth = np.zeros(order.size)
@@ -277,7 +294,7 @@ def hop_distances(search: ActiveGraph, source: NodeId) -> np.ndarray:
         level += 1
         depth[end:nxt] = level
         end = nxt
-    dist = np.full(len(search.mask), INF)
+    dist = np.full(k, INF)
     dist[order] = depth
     return dist
 

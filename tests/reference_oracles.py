@@ -6,11 +6,13 @@ These loops walk the tuple-of-tuples adjacency (`CommGraph.adj`) one
 neighbour at a time instead.  `centralized_bfs` and
 `centralized_min_exposure` are the package's former oracles, unchanged;
 `reference_bfs` is the hand-written level loop the kernel replaced,
-generalized to several sources and a depth cap.  `reference_quadtree` is
-the recursive cell tree refined against prefix-sum crossing counts, which
-the crossed-cell pyramid and leaf-level table replaced; `reference_leaf_at`
-and `reference_adaptive_awake` walk it, as the package once did per
-sensor.  `reference_points_in_region` is the zone test over every point,
+generalized to several sources and a depth cap.  `reference_bfs_flood`
+and `reference_min_exposure_flood` are the floods as they ran over
+n-length state and an n x n matrix, before searches were relabelled to
+local ids.  `reference_quadtree` is the recursive cell tree refined
+against prefix-sum crossing counts, which the crossed-cell pyramid and
+leaf-level table replaced; `reference_leaf_at` and
+`reference_adaptive_awake` walk it, as the package once did per sensor.  `reference_points_in_region` is the zone test over every point,
 before the bounding-box prefilter, and `reference_perimeter_streets` the
 perimeter search over the full graph, before the boundary band.
 """
@@ -22,6 +24,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
 
 from skeleton_nav.adaptive import _pow2_side, rasterize_region
 from skeleton_nav.danger import _EDGE_EPS, DangerZone, boundary_nodes, \
@@ -106,6 +110,92 @@ def centralized_min_exposure(graph: CommGraph, active, source: NodeId,
                 best[v] = cand
                 heapq.heappush(heap, (cand, v))
     return best
+
+
+def reference_bfs_flood(graph: CommGraph, mask: np.ndarray, source: NodeId,
+                        trace=None) -> tuple[list, list, list, int]:
+    """The hop flood over n-length state: value, parent, transmissions and
+    rounds, as the package ran it before its searches were relabelled.
+
+    The induced matrix is n x n with empty rows for nodes outside mask, and
+    depths come from the csgraph BFS order, one binary search per level.
+    """
+    members = np.flatnonzero(mask)
+    counts, nbrs = graph.neighbor_runs(members)
+    keep = mask[nbrs]
+    rows = np.repeat(members, counts)[keep]
+    indptr = np.zeros(graph.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=graph.n), out=indptr[1:])
+    mat = csr_matrix((np.ones(len(rows)), nbrs[keep], indptr),
+                     shape=(graph.n, graph.n))
+    order, pred = breadth_first_order(mat, source, directed=True,
+                                      return_predecessors=True)
+    pos = np.empty(graph.n, dtype=np.int64)
+    pos[order] = np.arange(order.size)
+    up = pos[pred[order[1:]]]
+    depth = np.zeros(order.size)
+    end, level = 1, 0
+    while end < order.size:
+        nxt = int(np.searchsorted(up, end)) + 1
+        level += 1
+        depth[end:nxt] = level
+        end = nxt
+    dist = np.full(graph.n, INF)
+    dist[order] = depth
+    rows = np.repeat(np.arange(graph.n), np.diff(mat.indptr))
+    depth = dist[rows]
+    up = (dist[mat.indices] == depth - 1) & (depth < INF)
+    rows, senders = rows[up], mat.indices[up]
+    first = np.ones(rows.size, dtype=bool)
+    first[1:] = rows[1:] != rows[:-1]
+    parent = np.full(graph.n, -1, dtype=np.int64)
+    parent[rows[first]] = senders[first]
+    reached = np.isfinite(dist)
+    value = dist.tolist()
+    parents = parent.tolist()
+    if trace is not None:
+        heard = rows[first]
+        order = np.lexsort((heard, parent[heard], dist[heard]))
+        for v in heard[order].tolist():
+            hops = int(value[v])
+            trace(f"{hops - 1} {parents[v]} {v} search {hops}")
+    return (value, parents, reached.astype(int).tolist(),
+            int(dist[reached].max()) + 1)
+
+
+def reference_min_exposure_flood(graph: CommGraph, mask: np.ndarray,
+                                 source: NodeId, potentials: Sequence[float],
+                                 trace=None, order_seed: int | None = None
+                                 ) -> tuple[list, list, list, int]:
+    """The exposure flood over n-length state and node ids, as the package
+    ran it before its searches were relabelled."""
+    rows = [[v for v in graph.adj[u] if mask[v]] if mask[u] else []
+            for u in range(graph.n)]
+    value = [INF] * graph.n
+    parent = [-1] * graph.n
+    tx = [0] * graph.n
+    value[source] = float(potentials[source])
+    scheduled = {source}
+    rng = np.random.default_rng(order_seed) if order_seed is not None else None
+    rounds = 0
+    while scheduled:
+        senders = sorted(scheduled)
+        if rng is not None:
+            rng.shuffle(senders)
+        scheduled = set()
+        for u in senders:
+            tx[u] += 1
+            base = value[u]
+            for v in rows[u]:
+                cand = base + potentials[v]
+                if cand < value[v]:
+                    value[v] = cand
+                    parent[v] = u
+                    scheduled.add(v)
+                    if trace is not None:
+                        trace(f"{rounds} {u} {v} exposure {cand:.17g}")
+        rounds += 1
+    return value, parent, tx, rounds
 
 
 class _CrossTester:

@@ -203,13 +203,13 @@ def test_extract_path_unreachable(tiny_graph):
 
 
 def test_extract_path_guards_against_bad_chains(tiny_graph):
-    broken = SimRun(kind=PacketKind.SEARCH, source=0,
-                    value=[0.0, 1.0, 2.0, INF], parent=[-1, -1, 1, -1],
-                    transmissions=[1, 1, 1, 0], rounds=3)
+    def run(parent):
+        return SimRun(kind=PacketKind.SEARCH, source=0, rounds=3,
+                      total_packets=3, ids=np.arange(4),
+                      local_value=[0.0, 1.0, 2.0, INF], local_parent=parent,
+                      local_tx=[1, 1, 1, 0], n=4)
+
     with pytest.raises(RuntimeError, match="broken"):
-        extract_path(broken, 2, tiny_graph)
-    looped = SimRun(kind=PacketKind.SEARCH, source=0,
-                    value=[0.0, 1.0, 2.0, INF], parent=[-1, 2, 1, -1],
-                    transmissions=[1, 1, 1, 0], rounds=3)
+        extract_path(run([-1, -1, 1, -1]), 2, tiny_graph)
     with pytest.raises(RuntimeError, match="cycle"):
-        extract_path(looped, 2, tiny_graph)
+        extract_path(run([-1, 2, 1, -1]), 2, tiny_graph)

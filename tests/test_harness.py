@@ -298,10 +298,52 @@ def test_aggregate_arithmetic():
 def test_invariant_guard_trips_on_a_lying_oracle(monkeypatch):
     world = build_world(Scenario(n=256, seed=1, queries=1, query_seed=0))
     (a, b), = sample_queries(world)
-    fake = lambda g, active, src: [1e6] * g.n  # noqa: E731
+    fake = lambda g, active, src, target: 1e6  # noqa: E731
     monkeypatch.setattr(harness, "centralized_bfs", fake)
     with pytest.raises(InvariantViolation):
         run_query(world, 0, a, b)
+
+
+def exposure_query():
+    """A one-query exposure world on the full skeleton, and its pair."""
+    world = build_world(Scenario(
+        n=256, seed=1, zone_kind="points", danger_count=2, skeleton="full",
+        queries=1, query_seed=0, metrics=("exposure",)))
+    (a, b), = sample_queries(world)
+    return world, a, b
+
+
+def test_invariant_guard_trips_on_a_lying_exposure_oracle(monkeypatch):
+    world, a, b = exposure_query()
+    fake = lambda g, active, src, pot, target, limit=None: 1e12  # noqa: E731
+    monkeypatch.setattr(harness, "centralized_min_exposure", fake)
+    with pytest.raises(InvariantViolation):
+        run_query(world, 0, a, b)
+
+
+def test_capped_exposure_oracle_falls_back_when_the_skeleton_under_reports(
+        monkeypatch):
+    # a skeleton answer of 0 caps the oracle below the true optimum, so the
+    # capped search reads inf at dst; the uncapped rerun must find the
+    # optimum and trip the guard
+    world, a, b = exposure_query()
+    assert run_query(world, 0, a, b).exposure_opt > 0
+    flood, oracle = harness.run_min_exposure, harness.centralized_min_exposure
+    limits = []
+
+    def under_reporting(*args, **kwargs):
+        run = flood(*args, **kwargs)
+        return replace(run, local_value=[0.0] * len(run.local_value))
+
+    def spy(*args, **kwargs):
+        limits.append(kwargs.get("limit"))
+        return oracle(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_min_exposure", under_reporting)
+    monkeypatch.setattr(harness, "centralized_min_exposure", spy)
+    with pytest.raises(InvariantViolation):
+        run_query(world, 0, a, b)
+    assert limits == [harness._RATIO_SLACK, None]
 
 
 def test_attach_without_geometry_wakes_only_the_destination():

@@ -6,8 +6,12 @@ BFS kernel and the csgraph oracles must match `reference_oracles` exactly.
 Depth recovery from the csgraph BFS order is also checked on long paths and
 grids, whose many levels give many level boundaries, and skeleton floods on
 a cached search graph must equal floods given the awake node set.  The
-quadtree's unit-cell leaf table must locate leaves and wake sensors exactly
-as the tree walk and the per-sensor loop do.  The zone test's bounding-box
+floods over local ids must equal the n-sized reference floods, on every
+node, a drawn set or the source alone; the hop oracle's answer for one
+target must equal its full list, and a capped exposure oracle must equal
+the uncapped one wherever the cap reaches.  The quadtree's unit-cell leaf
+table must locate leaves and wake sensors exactly as the tree walk and the
+per-sensor loop do.  The zone test's bounding-box
 prefilter must keep every mask bit, and perimeter streets searched on a
 boundary band must equal the search on the full graph.
 """
@@ -23,13 +27,14 @@ from reference_oracles import centralized_bfs as reference_centralized_bfs
 from reference_oracles import centralized_min_exposure as \
     reference_min_exposure
 from reference_oracles import reference_adaptive_awake, reference_bfs, \
-    reference_leaf_at, reference_perimeter_streets, \
-    reference_points_in_region, reference_quadtree
+    reference_bfs_flood, reference_leaf_at, reference_min_exposure_flood, \
+    reference_perimeter_streets, reference_points_in_region, \
+    reference_quadtree
 from skeleton_nav.adaptive import build_adaptive_skeleton, build_quadtree
 from skeleton_nav.danger import _EDGE_EPS, DangerZone, points_in_region, \
     zone_node_mask
-from skeleton_nav.distsim import active_graph, centralized_bfs, \
-    centralized_min_exposure, run_bfs_flood, run_min_exposure
+from skeleton_nav.distsim import INF, active_graph, centralized_bfs, \
+    centralized_min_exposure, extract_path, run_bfs_flood, run_min_exposure
 from skeleton_nav.field import SensorField, bfs_tree, build_comm_graph, \
     generate_field, hop_distances
 from skeleton_nav.harness import fixture_zone
@@ -159,9 +164,12 @@ def test_depth_recovery_equals_reference(inst):
     g, active, src, _ = inst
     search = active_graph(g, active)
     expect, _ = reference_bfs(g, [src], active)
-    assert hop_distances(search, src).tolist() == expect
+    local = search.index(src)
+    assert search.ids[local] == src
+    assert hop_distances(search, local).tolist() == \
+        [expect[v] for v in search.ids.tolist()]
     reached = sum(1 for d in expect if d != float("inf"))
-    assert search.component_sizes[src] == reached
+    assert search.component_sizes[local] == reached
 
 
 def _run_fields(run):
@@ -205,14 +213,87 @@ def test_floods_on_search_graph_equal_node_set_floods(inst):
 
 
 @st.composite
+def flood_instances(draw):
+    """A shaped instance whose mask may also be every node or the source
+    alone."""
+    g, active, source, rng = draw(shaped_instances())
+    kind = draw(st.sampled_from(("drawn", "every", "source")))
+    if kind == "every":
+        active = np.ones(g.n, dtype=bool)
+    elif kind == "source":
+        active = np.zeros(g.n, dtype=bool)
+        active[source] = True
+    return g, active, source, rng
+
+
+@EXAMPLES
+@given(flood_instances(), st.one_of(st.none(), st.integers(0, 3)))
+def test_local_floods_equal_n_sized_floods(inst, order_seed):
+    g, active, src, rng = inst
+    search = active_graph(g, active)
+    lines, expect_lines = [], []
+    run = run_bfs_flood(g, search, src, trace=lines.append)
+    assert _run_fields(run) == reference_bfs_flood(
+        g, active, src, trace=expect_lines.append)
+    assert lines == expect_lines
+    # the local parent walk follows the n-length parent list
+    dst = int(rng.integers(g.n))
+    res = extract_path(run, dst, g)
+    assert res.reachable == (run.value[dst] != INF)
+    if res.reachable:
+        chain = [dst]
+        while chain[-1] != src:
+            chain.append(run.parent[chain[-1]])
+        assert res.nodes == tuple(reversed(chain))
+    pot = potentials(rng, g.n)
+    lines, expect_lines = [], []
+    run = run_min_exposure(g, search, src, pot, trace=lines.append,
+                           order_seed=order_seed)
+    assert _run_fields(run) == reference_min_exposure_flood(
+        g, active, src, pot, trace=expect_lines.append,
+        order_seed=order_seed)
+    assert lines == expect_lines
+    assert run.total_packets == sum(run.transmissions)
+    assert run.value_at(dst) == run.value[dst]
+
+
+@EXAMPLES
+@given(instances())
+def test_hop_oracle_target_equals_the_full_list(inst):
+    # every node as target: the source itself, reachable and unreachable
+    # members, and nodes outside the active set
+    g, active, src, _ = inst
+    search = active_graph(g, active)
+    full = centralized_bfs(g, search, src)
+    assert [centralized_bfs(g, search, src, target=dst)
+            for dst in range(g.n)] == full
+
+
+@EXAMPLES
+@given(instances(), st.sampled_from((0.0, 1e-9, 0.5, 3.0)))
+def test_capped_exposure_equals_uncapped_within_the_cap(inst, slack):
+    g, active, src, rng = inst
+    pot = potentials(rng, g.n)
+    search = active_graph(g, active)
+    full = centralized_min_exposure(g, search, src, pot)
+    for dst in range(g.n):
+        value = full[dst]
+        cap = value * (1 + slack) + slack if value != INF else \
+            float(rng.uniform(0.0, 10.0))
+        assert centralized_min_exposure(g, search, src, pot, target=dst,
+                                        limit=cap) == value
+    assert centralized_min_exposure(g, search, src, pot, target=src) == \
+        full[src]
+
+
+@st.composite
 def leaf_table_cases(draw):
     """A zone, its quadtree, a street width and sensor positions.
 
-    Field sides come from n: at n = 1056 the tree (side 32) stops short of
-    the field, at n = 1090 it (side 64) reaches past it.  Besides uniform
-    positions, sensors sit on the edges and corners of random leaves,
-    exactly half a width inside a leaf edge, and beyond the field on every
-    side.  Widths k / 32 make those margins equal half a width exactly.
+    Field sides come from n: at n = 1056 (side 32.5) and n = 1090 the tree
+    (side 64) reaches past the field.  Besides uniform positions, sensors
+    sit on the edges and corners of random leaves, exactly half a width
+    inside a leaf edge, and beyond the field on every side.  Widths k / 32 make those margins equal half a width exactly.
     Danger points may sit on the half-unit grid, so on cell edges and
     corners, where they touch two or four unit cells.
     """

@@ -26,7 +26,7 @@ from skeleton_nav.adaptive import (
     simulate_cluster_retirement,
 )
 from skeleton_nav.danger import DangerZone, perimeter_length, zone_node_mask
-from skeleton_nav.field import hop_bfs, nearest_node
+from skeleton_nav.field import generate_field, hop_bfs, nearest_node
 from skeleton_nav.harness import Scenario, fixture_zone, run_scenario
 from skeleton_nav.skeleton import Provenance
 
@@ -79,6 +79,14 @@ def test_no_zone_gives_single_root_leaf():
 def test_side_pads_to_power_of_two():
     assert build_quadtree([], 20.5).side == 32
     assert build_quadtree([], 64.0).side == 64
+
+
+def test_tree_covers_a_field_whose_side_rounds_down():
+    # n = 1056: the field is 32.5 wide, and a tree 32 wide would leave the
+    # sensors beyond it outside every leaf
+    side = generate_field(1056, 3.0, 0).side
+    assert round(side) == 32
+    assert build_quadtree([], side).side >= side
 
 
 def test_unit_zone_in_4x4_field():
