@@ -9,7 +9,8 @@ with a margin.  Run a section again before touching a constant:
 With no --section the whole sweep runs; the gate-level sections take
 about a minute combined.  The census-scaling section builds worlds up to
 n = 2^20 and prints the process's own peak RSS; the query-scaling section
-times one query's skeleton flood and hop oracle up to n = 2^18.
+times one query's skeleton flood and hop oracle up to n = 2^18, and its
+exposure flood and exposure oracle at n = 2^14 and 2^16.
 """
 from __future__ import annotations
 
@@ -466,6 +467,33 @@ def section_query_scaling():
               f"{flood:.3f} ms, hop oracle {hops:.3f} ms per query, "
               f"peak RSS so far {peak:.0f} MB")
         del world, g, search, oracle
+
+    print("== per-query exposure search cost, exposure-points construction, "
+          "n = 2^14, 2^16, 20 snapped queries ==")
+    # 8 point dangers (danger seed 5), adaptive + Voronoi skeleton; the
+    # oracle is capped at the skeleton's answer, as run_query caps it
+    for k in (14, 16):
+        s = Scenario(n=2 ** k, seed=1, zone_kind="points", danger_count=8,
+                     danger_seed=5, beta=2.0, clamp_radius=1.0,
+                     skeleton="adaptive", voronoi=True, queries=20,
+                     query_seed=2, metrics=("exposure",))
+        world = build_world(s)
+        pairs = sample_queries(world)
+        g, search, oracle = world.graph, world.skeleton.search, world.oracle
+        pot = world.potential_array
+        runs = [run_min_exposure(g, search, a, pot) for a, _ in pairs]
+        caps = {(a, b): run.value_at(b) * (1 + 1e-9) + 1e-9
+                for (a, b), run in zip(pairs, runs)}
+        flood = per_query_ms(
+            lambda a, b: run_min_exposure(g, search, a, pot), pairs)
+        best = per_query_ms(lambda a, b: centralized_min_exposure(
+            g, oracle, a, pot, target=b, limit=caps[a, b]), pairs)
+        rounds = np.mean([run.rounds for run in runs])
+        packets = np.mean([run.total_packets for run in runs])
+        print(f"n=2^{k}: awake {world.skeleton.size}, exposure flood "
+              f"{flood:.3f} ms, {rounds:.1f} rounds and {packets:.0f} "
+              f"packets, exposure oracle {best:.3f} ms per query")
+        del world, g, search, oracle, pot, runs
 
 
 SECTIONS = {

@@ -227,7 +227,9 @@ def build_quadtree(zones, side: float) -> Quadtree:
 
 def build_adaptive_skeleton(graph: CommGraph, zone: DangerZone | None,
                             tree: Quadtree | None = None,
-                            width: float | None = None) -> SkeletonGraph:
+                            width: float | None = None,
+                            in_zone: np.ndarray | None = None
+                            ) -> SkeletonGraph:
     """Wake every sensor within half a street width of its leaf boundary."""
     fld = graph.field
     if tree is None:
@@ -237,7 +239,7 @@ def build_adaptive_skeleton(graph: CommGraph, zone: DangerZone | None,
     half = width / 2.0
 
     x, y = fld.positions.T
-    mask = zone_node_mask(zone, fld.positions)
+    mask = zone_node_mask(zone, fld.positions, in_zone)
     x0, y0, s = tree.leaf_cells(x, y)
     # margins come from the unclamped positions: a sensor beyond the tree
     # gets a negative margin and wakes
@@ -371,7 +373,8 @@ def detect_voronoi_nodes(graph: CommGraph, sources, active=None,
     """Sensors whose two closest danger points are within max_gap hops.
 
     Needs at least two sources.  Duplicate (collocated) sources make nearly
-    every sensor equidistant; such a band is flagged degenerate.
+    every sensor equidistant; such a band is flagged degenerate.  Given
+    `distance_tables` (per source, hop distances by node id), none is run.
     """
     search = active_graph(graph, active)
     ids = search.ids

@@ -1,11 +1,10 @@
 """Message-granular simulation of the distributed search algorithms.
 
 Everything runs in synchronous rounds over an active subgraph (a node set of
-a communication graph).  Within a round, transmissions happen in ascending
-sender id and are heard in ascending receiver id, so a rerun is byte
-identical; a seeded shuffle of the sender order is available for sensitivity
-checks.  Per-node transmission counters make packet costs exact rather than
-estimated.
+a communication graph).  Packets are read against start-of-round state and
+ties go to the lowest-id sender, so no value, parent or count depends on the
+order in which senders go.  Per-node transmission counters make packet
+costs exact rather than estimated.
 
 Searches take the active subgraph as a node set (None: every node) or as a
 prebuilt `field.ActiveGraph`; a node set is turned into one on each call, so
@@ -18,10 +17,10 @@ local parents.  Trace lines name nodes by node id.  The hop flood, the hop
 oracle and the potential phase read hop distances off one csgraph BFS order
 (`field.hop_distances`), whose cost follows the edges the search reaches;
 the flood then takes each node's lowest-id parent from its sorted induced
-row.  The exposure flood relaxes in Python over the search graph's
-neighbour lists (`ActiveGraph.rows`, built once per graph), and its oracle
-is csgraph's Dijkstra on weights gathered over the search graph's own index
-arrays, with the source's potential folded into its row.
+row.  The exposure flood runs each round as a few array steps over the
+frontier's rows of the search graph's CSR arrays, and its oracle is
+csgraph's Dijkstra on weights gathered over the same index arrays, with the
+source's potential folded into its row.
 
 Both oracles return the full n-length table by default.  Given a `target`
 they answer for that node alone: the hop oracle counts hops up the BFS
@@ -44,7 +43,7 @@ from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
 from .danger import PotentialModel, potential_of_distance
 from .field import ActiveGraph, CommGraph, NodeId, active_graph, \
-    hop_distances, nearest_node
+    hop_distances, nearest_node, row_runs
 
 INF = math.inf
 
@@ -170,51 +169,48 @@ def run_bfs_flood(graph: CommGraph, active, source: NodeId,
 
 def run_min_exposure(graph: CommGraph, active, source: NodeId,
                      potentials: Sequence[float] | np.ndarray,
-                     trace: TraceFn | None = None,
-                     order_seed: int | None = None) -> SimRun:
-    """Flood where packets accumulate node potentials and only improvements
-    propagate.
+                     trace: TraceFn | None = None) -> SimRun:
+    """Synchronous Bellman-Ford: packets accumulate node potentials, and
+    only improvements propagate.
 
-    Each node remembers the least exposure seen to reach it; a packet that
-    does not strictly improve on that is dropped.  A node forwards at most
-    once per round, carrying its current best, so transmissions are bounded
-    by the number of strict improvements.  The fixed point equals a
-    centralized node-weighted shortest path search.  Senders go in
-    ascending local id, which is ascending node id.
+    The source sends in round 0, and every node whose value improved in a
+    round sends once in the next.  A receiver keeps the least offer (a
+    sender's start-of-round value plus its own potential) that beats its
+    start-of-round value, with the lowest-id such sender as parent.  The
+    fixed point equals a centralized node-weighted shortest path search.
+    Trace lines go one per improved receiver, by round, sender, receiver.
     """
     search, src = _search_graph(graph, active, source)
-    rows = search.rows
+    indptr, indices = search.matrix.indptr, search.matrix.indices
     ids = search.ids
-    pot = np.asarray(potentials, dtype=np.float64)[ids].tolist()
-    k = len(pot)
-    value = [INF] * k
-    parent = [-1] * k
-    tx = [0] * k
+    pot = np.asarray(potentials, dtype=np.float64)[ids]
+    k = ids.size
+    value = np.full(k, INF)
     value[src] = pot[src]
-    names = ids.tolist() if trace is not None else None
-    scheduled = {src}
-    rng = np.random.default_rng(order_seed) if order_seed is not None else None
+    parent, tx = np.full(k, -1, dtype=np.int64), np.zeros(k, dtype=np.int64)
+    frontier = np.array([src])
     rounds = 0
-    while scheduled:
-        senders = sorted(scheduled)
-        if rng is not None:
-            rng.shuffle(senders)
-        scheduled = set()
-        for u in senders:
-            tx[u] += 1
-            base = value[u]
-            for v in rows[u]:
-                cand = base + pot[v]
-                if cand < value[v]:
-                    value[v] = cand
-                    parent[v] = u
-                    scheduled.add(v)
-                    if names is not None:
-                        trace(f"{rounds} {names[u]} {names[v]} "
-                              f"{PacketKind.EXPOSURE_SEARCH.value} {cand:.17g}")
+    while frontier.size:
+        tx[frontier] += 1
+        counts, receivers = row_runs(indptr, indices, frontier)
+        senders = np.repeat(frontier, counts)
+        cand = value.take(senders) + pot.take(receivers)  # start-of-round
+        before = value.copy()
+        np.minimum.at(value, receivers, cand)
+        improved = value < before
+        frontier = np.flatnonzero(improved)
+        won = (cand == value.take(receivers)) & improved.take(receivers)
+        parent[frontier] = k
+        np.minimum.at(parent, receivers[won], senders[won])
+        if trace is not None:
+            heard = frontier[np.argsort(parent[frontier], kind="stable")]
+            for u, v, x in zip(ids[parent[heard]].tolist(),
+                               ids[heard].tolist(), value[heard].tolist()):
+                trace(f"{rounds} {u} {v} "
+                      f"{PacketKind.EXPOSURE_SEARCH.value} {x:.17g}")
         rounds += 1
     return SimRun(kind=PacketKind.EXPOSURE_SEARCH, source=source,
-                  rounds=rounds, total_packets=sum(tx), ids=ids,
+                  rounds=rounds, total_packets=int(tx.sum()), ids=ids,
                   local_value=value, local_parent=parent, local_tx=tx,
                   n=graph.n)
 
@@ -224,7 +220,7 @@ class PotentialPhase:
     """Network-wide result of flooding once from every danger source."""
 
     source_nodes: tuple[NodeId, ...]
-    distance_tables: list[list[float]]   # per source, hop distances
+    distance_tables: np.ndarray   # (sources, n) hop distances, read-only
     potentials: list[float]              # summed over sources at each node
     packets: int
 
@@ -236,21 +232,21 @@ def run_potential_phase(graph: CommGraph, active, model: PotentialModel
     Every active node ends up knowing its hop distance to each source and its
     summed potential.  Unreached nodes contribute nothing (infinite range).
     `active` is a node set or an `ActiveGraph`.  The floods run in local
-    ids; each table and the potentials are spread over all n nodes once.
+    ids; the tables fill one array and the potentials spread over n once.
     """
     active = active_graph(graph, active)
     ids = active.ids
     if not ids.size:
         raise ValueError("no active nodes to flood")
     source_nodes = []
-    tables = []
+    tables = np.full((len(model.sources), graph.n), INF)
     packets = 0
     summed = np.zeros(ids.size)
-    for sx, sy in model.sources:
+    for table, (sx, sy) in zip(tables, model.sources):
         src = nearest_node(graph.field, (float(sx), float(sy)), ids)
         source_nodes.append(src)
         dist = hop_distances(active, active.index(src))
-        tables.append(_spread(ids, dist, graph.n, INF))
+        table[ids] = dist
         reached = np.isfinite(dist)
         packets += int(reached.sum())  # every reached node forwards once
         hops = dist[reached].astype(np.int64)
@@ -258,6 +254,7 @@ def run_potential_phase(graph: CommGraph, active, model: PotentialModel
         law = np.array([potential_of_distance(model, float(d))
                         for d in range(int(hops.max()) + 1)])
         summed[reached] += law[hops]
+    tables.setflags(write=False)
     return PotentialPhase(source_nodes=tuple(source_nodes),
                           distance_tables=tables,
                           potentials=_spread(ids, summed, graph.n, 0.0),

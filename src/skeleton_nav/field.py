@@ -134,11 +134,7 @@ class CommGraph:
 
     def neighbor_runs(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Degrees of `nodes` and their neighbour rows, concatenated in order."""
-        starts = self.indptr[nodes]
-        counts = self.indptr[nodes + 1] - starts
-        offsets = np.cumsum(counts) - counts  # where each row lands
-        pos = np.arange(counts.sum()) + np.repeat(starts - offsets, counts)
-        return counts, self.indices[pos]
+        return row_runs(self.indptr, self.indices, nodes)
 
     def induced(self, mask: np.ndarray) -> csr_matrix:
         """Unit-weight k x k matrix of the edges among the k nodes in mask.
@@ -163,6 +159,16 @@ class CommGraph:
         ones = np.broadcast_to(np.float64(1.0), indices.shape)
         k = indptr.size - 1
         return csr_matrix((ones, indices, indptr), shape=(k, k), copy=False)
+
+
+def row_runs(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Lengths of CSR `rows` and their entries, concatenated in order."""
+    starts = indptr.take(rows)
+    counts = indptr.take(rows + 1) - starts
+    offsets = np.cumsum(counts) - counts  # where each row lands
+    pos = np.arange(counts.sum()) + np.repeat(starts - offsets, counts)
+    return counts, indices.take(pos)
 
 
 def _csr_arrays(field: SensorField, members: np.ndarray | None
@@ -245,20 +251,6 @@ class ActiveGraph:
         """
         _, labels = connected_components(self.matrix, directed=False)
         return np.bincount(labels)[labels]
-
-    @cached_property
-    def rows(self) -> list[list[int]]:
-        """Per local id, its neighbours' local ids as a sorted Python list.
-
-        Built once from the matrix, for the exposure flood's Python loop;
-        callers read the lists and never change them.
-        """
-        # one int object per local id, shared by every row that lists it:
-        # a third of the memory of the fresh ints `indices.tolist()` makes
-        pool = np.arange(self.matrix.shape[0]).astype(object)
-        nbrs = pool[self.matrix.indices].tolist()
-        ptr = self.matrix.indptr.tolist()
-        return [nbrs[a:b] for a, b in zip(ptr[:-1], ptr[1:])]
 
 
 def active_graph(graph: CommGraph, active) -> ActiveGraph:

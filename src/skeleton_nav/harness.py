@@ -329,7 +329,8 @@ def build_world(s: Scenario) -> World:
     f = generate_field(s.n, s.radio_range, s.seed)
     g = build_comm_graph(f)
     zone, model = make_zone(s, f.side)
-    outside = ~zone_node_mask(zone, f.positions)
+    in_zone = zone_node_mask(zone, f.positions)
+    outside = ~in_zone
     outside.setflags(write=False)
 
     potentials = None
@@ -352,9 +353,9 @@ def build_world(s: Scenario) -> World:
     elif s.skeleton == "uniform":
         cfg = UniformStreetConfig(epsilon=s.epsilon, width=s.width,
                                   shift=s.shift, prune=s.prune)
-        sk = build_uniform_skeleton(g, zone, cfg)
+        sk = build_uniform_skeleton(g, zone, cfg, in_zone)
     else:
-        sk = build_adaptive_skeleton(g, zone, width=s.width)
+        sk = build_adaptive_skeleton(g, zone, width=s.width, in_zone=in_zone)
         if s.voronoi:
             tables = phase.distance_tables if phase is not None else None
             band = detect_voronoi_nodes(

@@ -98,8 +98,9 @@ def _bracket(lines: tuple[float, ...], v: float) -> tuple[float, float]:
     return lo, hi
 
 
-def build_perimeter_streets(graph: CommGraph, zone: DangerZone,
-                            width: float) -> frozenset[NodeId]:
+def build_perimeter_streets(graph: CommGraph, zone: DangerZone, width: float,
+                            in_zone: np.ndarray | None = None
+                            ) -> frozenset[NodeId]:
     """Boundary nodes plus out-of-zone nodes within ceil(width) hops of them.
 
     The in-zone boundary nodes are returned too (callers exclude the zone when
@@ -116,9 +117,9 @@ def build_perimeter_streets(graph: CommGraph, zone: DangerZone,
     radius = (depth + 1) * fld.radio_range + boundary_tolerance(zone)
     band = CommGraph(field=fld,
                      members=_near_boundary(zone, fld.positions, radius))
-    base = boundary_nodes(band, zone)
-    outside = ~zone_node_mask(zone, fld.positions)
-    dist, _ = bfs_tree(band, sorted(base), outside, max_depth=depth)
+    in_zone = zone_node_mask(zone, fld.positions, in_zone)
+    base = boundary_nodes(band, zone, in_zone)
+    dist, _ = bfs_tree(band, sorted(base), ~in_zone, max_depth=depth)
     return frozenset(np.flatnonzero(np.isfinite(dist)).tolist())
 
 
@@ -160,7 +161,8 @@ def prune_street(graph: CommGraph, street: frozenset[NodeId],
 
 
 def build_uniform_skeleton(graph: CommGraph, zone: DangerZone | None,
-                           cfg: UniformStreetConfig) -> SkeletonGraph:
+                           cfg: UniformStreetConfig,
+                           in_zone: np.ndarray | None = None) -> SkeletonGraph:
     """Wake the grid-street strips and perimeter streets, minus the zone."""
     fld = graph.field
     s, w = cfg.validate(fld.n, fld.radio_range)
@@ -173,7 +175,7 @@ def build_uniform_skeleton(graph: CommGraph, zone: DangerZone | None,
     on_street = (_near_line(pos[:, 0], lines_x, half)
                  | _near_line(pos[:, 1], lines_y, half))
 
-    in_zone = zone_node_mask(zone, pos)
+    in_zone = zone_node_mask(zone, pos, in_zone)
     blocked = frozenset(np.flatnonzero(in_zone).tolist())
 
     grid_nodes = set(np.flatnonzero(on_street & ~in_zone).tolist())
@@ -185,7 +187,7 @@ def build_uniform_skeleton(graph: CommGraph, zone: DangerZone | None,
     awake = set(grid_nodes)
 
     if zone is not None and zone.kind == "region":
-        perimeter = build_perimeter_streets(graph, zone, w)
+        perimeter = build_perimeter_streets(graph, zone, w, in_zone)
         for v in perimeter:
             if v not in blocked and v not in awake:
                 awake.add(v)

@@ -7,14 +7,17 @@ neighbour at a time instead.  `centralized_bfs` and
 `centralized_min_exposure` are the package's former oracles, unchanged;
 `reference_bfs` is the hand-written level loop the kernel replaced,
 generalized to several sources and a depth cap.  `reference_bfs_flood`
-and `reference_min_exposure_flood` are the floods as they ran over
-n-length state and an n x n matrix, before searches were relabelled to
-local ids.  `reference_quadtree` is the recursive cell tree refined
-against prefix-sum crossing counts, which the crossed-cell pyramid and
-leaf-level table replaced; `reference_leaf_at` and
-`reference_adaptive_awake` walk it, as the package once did per sensor.  `reference_points_in_region` is the zone test over every point,
-before the bounding-box prefilter, and `reference_perimeter_streets` the
-perimeter search over the full graph, before the boundary band.
+is the hop flood as it ran over n-length state and an n x n matrix,
+before searches were relabelled to local ids, and
+`reference_min_exposure_flood` the synchronous exposure flood as a loop
+over packets, with a shuffle of the sender order.  `reference_quadtree`
+is the recursive cell tree refined against prefix-sum crossing counts,
+which the crossed-cell pyramid and leaf-level table replaced;
+`reference_leaf_at` and `reference_adaptive_awake` walk it, as the
+package once did per sensor.  `reference_points_in_region` is the zone
+test over every point, before the bounding-box prefilter, and
+`reference_perimeter_streets` the perimeter search over the full graph,
+before the boundary band.
 """
 
 from __future__ import annotations
@@ -167,33 +170,41 @@ def reference_min_exposure_flood(graph: CommGraph, mask: np.ndarray,
                                  source: NodeId, potentials: Sequence[float],
                                  trace=None, order_seed: int | None = None
                                  ) -> tuple[list, list, list, int]:
-    """The exposure flood over n-length state and node ids, as the package
-    ran it before its searches were relabelled."""
+    """The synchronous exposure flood, one packet at a time over n-length
+    state and node ids.
+
+    Senders go in ascending id, or in an order shuffled by `order_seed`.
+    Every packet is weighed against the receiver's start-of-round value;
+    the smallest offer that beats it wins, and among equal offers the
+    lowest sender.  A round's trace lines go out by sender, then receiver.
+    """
     rows = [[v for v in graph.adj[u] if mask[v]] if mask[u] else []
             for u in range(graph.n)]
     value = [INF] * graph.n
     parent = [-1] * graph.n
     tx = [0] * graph.n
     value[source] = float(potentials[source])
-    scheduled = {source}
+    senders = [source]
     rng = np.random.default_rng(order_seed) if order_seed is not None else None
     rounds = 0
-    while scheduled:
-        senders = sorted(scheduled)
+    while senders:
         if rng is not None:
             rng.shuffle(senders)
-        scheduled = set()
+        offers: dict[NodeId, tuple[float, NodeId]] = {}
         for u in senders:
             tx[u] += 1
-            base = value[u]
             for v in rows[u]:
-                cand = base + potentials[v]
-                if cand < value[v]:
-                    value[v] = cand
-                    parent[v] = u
-                    scheduled.add(v)
-                    if trace is not None:
-                        trace(f"{rounds} {u} {v} exposure {cand:.17g}")
+                cand = value[u] + potentials[v]
+                if cand < value[v] and (v not in offers
+                                        or (cand, u) < offers[v]):
+                    offers[v] = (cand, u)
+        for v, (cand, u) in offers.items():
+            value[v] = cand
+            parent[v] = u
+        if trace is not None:
+            for v in sorted(offers, key=lambda v: (parent[v], v)):
+                trace(f"{rounds} {parent[v]} {v} exposure {value[v]:.17g}")
+        senders = sorted(offers)
         rounds += 1
     return value, parent, tx, rounds
 

@@ -11,8 +11,10 @@ import pytest
 from scipy.spatial import cKDTree
 
 import skeleton_nav.cli as cli
+import skeleton_nav.danger as danger_module
 import skeleton_nav.field as field_module
 import skeleton_nav.harness as harness
+from skeleton_nav.adaptive import build_adaptive_skeleton
 from skeleton_nav.danger import zone_node_mask
 from skeleton_nav.distsim import centralized_bfs, extract_path, run_bfs_flood
 from skeleton_nav.field import SensorField, build_comm_graph
@@ -35,6 +37,7 @@ from skeleton_nav.harness import (
     size_census,
 )
 from skeleton_nav.skeleton import Provenance, attach_offstreet_endpoints
+from skeleton_nav.uniform import UniformStreetConfig, build_uniform_skeleton
 
 INF = math.inf
 
@@ -246,14 +249,38 @@ def test_exposure_queries_reuse_world_state():
         rec = run_query(world, i, a, b)
         assert rec.packets_attach == 0 and rec.exposure_opt is not None
         assert world.skeleton.search is search
-        cached.append((vars(search)["rows"],  # filled by the first flood
-                       vars(world)["potential_array"]))
-    assert all(c[0] is cached[0][0] and c[1] is cached[0][1] for c in cached)
+        cached.append(vars(world)["potential_array"])
+    assert all(c is cached[0] for c in cached)
     pot = world.potential_array
     assert not pot.flags.writeable and pot.tolist() == world.potentials
     after = (mat.data, mat.indices, mat.indptr)
     assert all(x.dtype == y.dtype and np.array_equal(x, y)
                for x, y in zip(before, after))
+
+
+@pytest.mark.parametrize("construction", ["uniform", "adaptive"])
+def test_world_tests_the_zone_once(monkeypatch, construction):
+    # build_world hands its zone mask to the skeleton builders, so the
+    # zone is tested once per world; builders called without the mask
+    # compute their own and wake the same nodes
+    s = Scenario(n=1024, seed=4, zone_kind="complex", skeleton=construction,
+                 epsilon=1 / 6)
+    world = build_world(s)
+    calls = []
+    tested = danger_module.points_in_region
+    monkeypatch.setattr(danger_module, "points_in_region",
+                        lambda *a: calls.append(1) or tested(*a))
+    again = build_world(s)
+    assert len(calls) == 1
+    assert again.skeleton.awake == world.skeleton.awake
+    zone, g = world.zone, world.graph
+    if construction == "uniform":
+        alone = build_uniform_skeleton(g, zone,
+                                       UniformStreetConfig(epsilon=1 / 6))
+    else:
+        alone = build_adaptive_skeleton(g, zone)
+    assert alone.awake == world.skeleton.awake
+    assert alone.blocked == world.skeleton.blocked
 
 
 def test_disconnected_pairs_are_flagged_and_excluded():

@@ -201,7 +201,7 @@ def test_floods_on_search_graph_equal_node_set_floods(inst):
         mask[nodes] = True
         assert (cached.value, cached.parent) == \
             reference_bfs(g, [src], mask)
-        # the second exposure flood reads the neighbour lists the first built
+        # two sources on the same prebuilt search graph
         for start in (src, nodes[int(rng.integers(len(nodes)))]):
             lines, again = [], []
             cached = run_min_exposure(g, skel.search, start, pot,
@@ -247,8 +247,7 @@ def test_local_floods_equal_n_sized_floods(inst, order_seed):
         assert res.nodes == tuple(reversed(chain))
     pot = potentials(rng, g.n)
     lines, expect_lines = [], []
-    run = run_min_exposure(g, search, src, pot, trace=lines.append,
-                           order_seed=order_seed)
+    run = run_min_exposure(g, search, src, pot, trace=lines.append)
     assert _run_fields(run) == reference_min_exposure_flood(
         g, active, src, pot, trace=expect_lines.append,
         order_seed=order_seed)
