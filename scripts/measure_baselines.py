@@ -20,7 +20,6 @@ import resource
 import time
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from skeleton_nav.adaptive import (build_adaptive_skeleton, build_quadtree,
                                    clusters_at_level, detect_voronoi_nodes,
@@ -209,9 +208,8 @@ def section_attach():
     sk5 = build_uniform_skeleton(
         g5, zone, UniformStreetConfig(epsilon=1 / 6, width=2.5))
     active = ~zone_node_mask(zone, g5.field.positions)
-    _, labels = connected_components(sk5.search.matrix, directed=False)
     print("awake:", sk5.size, "of", int(active.sum()), "active;",
-          "components:", np.unique(labels).size)
+          "components:", np.unique(sk5.search.component_labels).size)
     rng = np.random.default_rng(123)
     act = np.flatnonzero(active)
     bad = attached = 0
@@ -223,6 +221,32 @@ def section_attach():
         full = centralized_bfs(g5, active, a)
         bad += (run.value[b] != INF) != (full[b] != INF)
     print("attached pairs:", attached, "mismatches:", bad)
+
+    print("== attach time, 40 off-street sources, n=16384 seed 5, complex "
+          "zone, adaptive skeleton ==")
+    # the destination is a street node, so only the source's ring runs;
+    # each figure is the median of three calls per source, averaged
+    world = build_world(Scenario(n=2 ** 14, seed=5, zone_kind="complex",
+                                 skeleton="adaptive"))
+    g, sk = world.graph, world.skeleton
+    off = np.flatnonzero(world.active & ~sk.search.mask)
+    street = int(sk.search.ids[0])
+    sources = np.random.default_rng(5).choice(off, size=40, replace=False)
+    t0 = time.perf_counter()
+    sk.active  # the search graph the ring floods, built on first use
+    build = time.perf_counter() - t0
+    per_call, packets = [], []
+    for a in sources.tolist():
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            att = attach_offstreet_endpoints(g, sk, a, street)
+            times.append(time.perf_counter() - t0)
+        per_call.append(sorted(times)[1])
+        packets.append(att.packets)
+    print(f"awake {sk.size}; search graph built once in {build * 1e3:.2f} "
+          f"ms; attach {np.mean(per_call) * 1e3:.3f} ms per call, "
+          f"{np.mean(packets):.0f} packets per source")
 
 
 def section_traces():

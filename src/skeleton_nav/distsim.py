@@ -16,17 +16,16 @@ graph's local ids: their state is k-length for a set of k nodes, and a
 local parents.  Trace lines name nodes by node id.  The hop flood, the hop
 oracle and the potential phase read hop distances off one csgraph BFS order
 (`field.hop_distances`), whose cost follows the edges the search reaches;
-the flood then takes each node's lowest-id parent from its sorted induced
-row.  The exposure flood runs each round as a few array steps over the
-frontier's rows of the search graph's CSR arrays, and its oracle is
-csgraph's Dijkstra on weights gathered over the same index arrays, with the
-source's potential folded into its row.
+the flood takes each node's lowest-id parent from its sorted induced row
+(`field.lowest_parents`).  The exposure flood runs each round as a few
+array steps over the frontier's rows of the search graph's CSR arrays, and
+its oracle is csgraph's Dijkstra on weights gathered over the same index
+arrays, with the source's potential folded into its row.
 
 Both oracles return the full n-length table by default.  Given a `target`
 they answer for that node alone: the hop oracle counts hops up the BFS
 predecessor chain, and the exposure oracle also takes a `limit` at which
-Dijkstra stops.  The depth-capped, multi-source and masked searches
-elsewhere in the package run on `field.bfs_tree`.
+Dijkstra stops.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
 from .danger import PotentialModel, potential_of_distance
 from .field import ActiveGraph, CommGraph, NodeId, active_graph, \
-    hop_distances, nearest_node, row_runs
+    hop_distances, lowest_parents, nearest_node, row_runs, spread
 
 INF = math.inf
 
@@ -87,24 +86,17 @@ class SimRun:
 
     @cached_property
     def value(self) -> list[float]:
-        return _spread(self.ids, self.local_value, self.n, INF)
+        return spread(self.ids, self.local_value, self.n, INF)
 
     @cached_property
     def parent(self) -> list[NodeId]:
         local = np.asarray(self.local_parent, dtype=np.int64)
-        return _spread(self.ids, np.where(local >= 0, self.ids[local], -1),
-                       self.n, -1)
+        return spread(self.ids, np.where(local >= 0, self.ids[local], -1),
+                      self.n, -1)
 
     @cached_property
     def transmissions(self) -> list[int]:
-        return _spread(self.ids, self.local_tx, self.n, 0)
-
-
-def _spread(ids: np.ndarray, local, n: int, fill) -> list:
-    """Per-local-id values as a list over all n nodes, `fill` elsewhere."""
-    out = np.full(n, fill)
-    out[ids] = local
-    return out.tolist()
+        return spread(self.ids, self.local_tx, self.n, 0)
 
 
 @dataclass(frozen=True)
@@ -140,20 +132,10 @@ def run_bfs_flood(graph: CommGraph, active, source: NodeId,
     """
     search, s = _search_graph(graph, active, source)
     dist = hop_distances(search, s)
-    # each induced row is sorted, so a heard node's first neighbour one
-    # level up is its lowest-id sender
-    mat = search.matrix
-    rows = np.repeat(np.arange(dist.size), np.diff(mat.indptr))
-    depth = dist[rows]
-    up = (dist[mat.indices] == depth - 1) & (depth < INF)
-    rows, senders = rows[up], mat.indices[up]
-    first = np.ones(rows.size, dtype=bool)
-    first[1:] = rows[1:] != rows[:-1]
-    parent = np.full(dist.size, -1, dtype=np.int64)
-    parent[rows[first]] = senders[first]
+    parent = lowest_parents(search, dist)
     reached = np.isfinite(dist)
     if trace is not None:
-        heard = rows[first]
+        heard = np.flatnonzero(parent >= 0)
         heard = heard[np.lexsort((heard, parent[heard], dist[heard]))]
         ids = search.ids
         for hops, u, v in zip(dist[heard].astype(int).tolist(),
@@ -257,15 +239,16 @@ def run_potential_phase(graph: CommGraph, active, model: PotentialModel
     tables.setflags(write=False)
     return PotentialPhase(source_nodes=tuple(source_nodes),
                           distance_tables=tables,
-                          potentials=_spread(ids, summed, graph.n, 0.0),
+                          potentials=spread(ids, summed, graph.n, 0.0),
                           packets=packets)
 
 
-def extract_path(run: SimRun, destination: NodeId, graph: CommGraph,
-                 potentials: Sequence[float] | None = None) -> PathResult:
+def extract_path(run: SimRun, destination: NodeId, graph: CommGraph
+                 ) -> PathResult:
     """Walk parents back from the destination and measure the route.
 
     The walk reads the run's local state, so it costs the route's length.
+    An exposure run reports the exposure its packet accumulated.
     """
     node = run.local(destination)
     if node < 0 or run.local_value[node] == INF:
@@ -287,11 +270,8 @@ def extract_path(run: SimRun, destination: NodeId, graph: CommGraph,
     length = 0.0
     for a, b in zip(chain, chain[1:]):
         length += float(np.hypot(*(pos[a] - pos[b])))
-    exposure = None
-    if potentials is not None:
-        exposure = float(sum(potentials[v] for v in chain))
-    elif run.kind is PacketKind.EXPOSURE_SEARCH:
-        exposure = run.value_at(destination)
+    exposure = run.value_at(destination) \
+        if run.kind is PacketKind.EXPOSURE_SEARCH else None
     return PathResult(nodes=tuple(chain), hops=len(chain) - 1, length=length,
                       exposure=exposure, reachable=True,
                       packets=run.total_packets)
@@ -309,7 +289,7 @@ def centralized_bfs(graph: CommGraph, active, source: NodeId, *,
     """
     search, s = _search_graph(graph, active, source)
     if target is None:
-        return _spread(search.ids, hop_distances(search, s), graph.n, INF)
+        return spread(search.ids, hop_distances(search, s), graph.n, INF)
     if not search.mask[target]:
         return INF
     _, pred = breadth_first_order(search.matrix, s, directed=True,
@@ -357,7 +337,7 @@ def centralized_min_exposure(graph: CommGraph, active, source: NodeId,
                     limit=INF if limit is None else limit)
     dist[s] = pot[s]
     if target is None:
-        return _spread(search.ids, dist, graph.n, INF)
+        return spread(search.ids, dist, graph.n, INF)
     if not search.mask[target]:
         return INF
     return float(dist[search.index(target)])

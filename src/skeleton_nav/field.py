@@ -8,22 +8,17 @@ triple regenerates the identical field bit for bit.
 
 The graph is stored as CSR arrays, built the first time a neighbour is
 asked for: a world whose skeleton needs only positions (a size census) never
-builds them.  Hop searches run on one of two BFS engines over them:
-
-* `bfs_tree`, a level-synchronous numpy BFS over a node mask, serves
-  `hop_bfs` and the searches that need several sources, a depth cap or a
-  parent chain on a mask built for one use: the expanding-ring attach,
-  perimeter streets and street pruning.
-* `hop_distances`, scipy's `csgraph.breadth_first_order` on an
-  `ActiveGraph`, serves the single-source searches that run to full depth:
-  the skeleton hop flood, the centralized hop oracle, the potential phase
-  and the Voronoi hop tables.  An `ActiveGraph` relabels a node set of k
-  nodes to local ids 0..k-1 in ascending id order and holds its k x k
-  induced matrix, built once from the members' CSR rows and reused.  A
-  search over it takes and returns local ids and allocates k-length
-  arrays, so a search over a skeleton costs time in proportion to the
-  skeleton, not to n.  Callers that need a table over all n nodes spread
-  the local one once.
+builds them.  Every hop search runs on scipy's `csgraph` over an
+`ActiveGraph`, which relabels a node set of k nodes to local ids 0..k-1 in
+ascending id order and holds its k x k induced matrix, built once from the
+members' CSR rows and reused.  A search over it takes and returns local ids
+and allocates k-length arrays, so a search over a skeleton costs time in
+proportion to the skeleton, not to n.  `hop_distances` reads hop depths off
+one `breadth_first_order`, and `lowest_parents` gives each reached node its
+lowest-id neighbour one level up, the parent a synchronous flood gives.
+Searches from several sources or to a capped depth (perimeter streets) are
+one `dijkstra` call on the same matrix.  Callers that need a table over all
+n nodes spread the local one once.
 """
 
 from __future__ import annotations
@@ -91,16 +86,14 @@ class CommGraph:
     Stored as CSR arrays: the neighbours of node u are
     ``indices[indptr[u]:indptr[u + 1]]``, sorted ascending, without self
     loops.  Both arrays are read-only and built together the first time
-    either is read.  A graph over `members` (sorted ids) holds only the
-    edges between members; every other row is empty.
+    either is read.
     """
 
     field: SensorField
-    members: np.ndarray | None = None  # None: every sensor
 
     @cached_property
     def _csr(self) -> tuple[np.ndarray, np.ndarray]:
-        indptr, indices = _csr_arrays(self.field, self.members)
+        indptr, indices = _csr_arrays(self.field)
         for arr in (indptr, indices):
             arr.setflags(write=False)
         return indptr, indices
@@ -171,9 +164,8 @@ def row_runs(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray
     return counts, indices.take(pos)
 
 
-def _csr_arrays(field: SensorField, members: np.ndarray | None
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """CSR rows of every pair within radio range (inclusive), among members.
+def _csr_arrays(field: SensorField) -> tuple[np.ndarray, np.ndarray]:
+    """CSR rows of every pair within radio range (inclusive).
 
     A k-d tree finds the pairs; the result is identical to the quadratic
     all-pairs check.  Each pair becomes two directed entries, sorted by
@@ -182,10 +174,8 @@ def _csr_arrays(field: SensorField, members: np.ndarray | None
     pairs and the keys.
     """
     n = field.n
-    pos = field.positions if members is None else field.positions[members]
-    pairs = cKDTree(pos).query_pairs(field.radio_range, output_type="ndarray")
-    if members is not None:
-        pairs = members[pairs]
+    pairs = cKDTree(field.positions).query_pairs(field.radio_range,
+                                                 output_type="ndarray")
     m = len(pairs)
     key = np.empty(2 * m, dtype=np.int64)
     forward, backward = key[:m], key[m:]  # i * n + j, then j * n + i
@@ -244,12 +234,17 @@ class ActiveGraph:
         return int(np.searchsorted(self.ids, node))
 
     @cached_property
+    def component_labels(self) -> np.ndarray:
+        """Per local id, the label of its connected component."""
+        return connected_components(self.matrix, directed=False)[1]
+
+    @cached_property
     def component_sizes(self) -> np.ndarray:
         """Per local id, the size of its connected component.
 
         A search from a member reaches exactly its component.
         """
-        _, labels = connected_components(self.matrix, directed=False)
+        labels = self.component_labels
         return np.bincount(labels)[labels]
 
 
@@ -291,34 +286,23 @@ def hop_distances(search: ActiveGraph, source: int) -> np.ndarray:
     return dist
 
 
-def bfs_tree(graph: CommGraph, sources, allowed: np.ndarray | None = None,
-             max_depth: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Level-synchronous BFS over the CSR arrays, with a mask.
+def lowest_parents(search: ActiveGraph, dist: np.ndarray) -> np.ndarray:
+    """Per local id, the lowest-id neighbour one level up (-1: none).
 
-    Sources sit at depth 0 even outside `allowed` (None allows every node);
-    other nodes are entered only if allowed, and no deeper than max_depth.
-    Frontiers are sorted, so a node's first sender is its lowest-id
-    predecessor and becomes its parent.  Returns float64 depths (inf:
-    unreached) and int64 parents (-1 for sources and unreached nodes).
+    `dist` holds hop distances (inf: unreached).  Induced rows are sorted,
+    so a node's parent is the first neighbour in its row one level up: the
+    lowest-id sender of a synchronous flood.  Only reached rows are read.
     """
-    dist = np.full(graph.n, INF)
-    parent = np.full(graph.n, -1, dtype=np.int64)
-    closed = np.zeros(graph.n, dtype=bool) if allowed is None else ~allowed
-    frontier = np.unique(np.asarray(sources, dtype=np.int64))
-    closed[frontier] = True
-    dist[frontier] = 0.0
-    depth = 0
-    while frontier.size and (max_depth is None or depth < max_depth):
-        counts, nbrs = graph.neighbor_runs(frontier)
-        fresh = ~closed[nbrs]
-        senders = np.repeat(frontier, counts)[fresh]
-        # np.unique sorts stably, so `first` points at the lowest sender
-        frontier, first = np.unique(nbrs[fresh], return_index=True)
-        depth += 1
-        closed[frontier] = True
-        dist[frontier] = depth
-        parent[frontier] = senders[first]
-    return dist, parent
+    mat = search.matrix
+    reached = np.flatnonzero(dist < INF)
+    counts, nbrs = row_runs(mat.indptr, mat.indices, reached)
+    up = dist.take(nbrs) == np.repeat(dist.take(reached) - 1, counts)
+    rows, senders = np.repeat(reached, counts)[up], nbrs[up]
+    first = np.ones(rows.size, dtype=bool)
+    first[1:] = rows[1:] != rows[:-1]
+    parent = np.full(dist.size, -1, dtype=np.int64)
+    parent[rows[first]] = senders[first]
+    return parent
 
 
 def hop_bfs(graph: CommGraph, source: NodeId,
@@ -335,8 +319,19 @@ def hop_bfs(graph: CommGraph, source: NodeId,
     allowed = None if blocked is None else ~node_mask(graph.n, blocked)
     if allowed is not None and not allowed[source]:
         raise ValueError(f"source {source} is blocked")
-    dist, parent = bfs_tree(graph, [source], allowed)
-    return dist.tolist(), parent.tolist()
+    search = active_graph(graph, allowed)
+    dist = hop_distances(search, search.index(source))
+    parent = lowest_parents(search, dist)
+    ids = search.ids
+    return (spread(ids, dist, graph.n, INF),
+            spread(ids, np.where(parent >= 0, ids[parent], -1), graph.n, -1))
+
+
+def spread(ids: np.ndarray, local, n: int, fill) -> list:
+    """Per-local-id values as a list over all n nodes, `fill` elsewhere."""
+    out = np.full(n, fill)
+    out[ids] = local
+    return out.tolist()
 
 
 def nearest_node(field: SensorField, point: tuple[float, float],

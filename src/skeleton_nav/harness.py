@@ -15,7 +15,6 @@ from functools import cached_property
 from importlib import resources
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from .danger import DangerZone, PotentialModel, ZoneSpec, node_in_zone, \
     parse_zone, zone_node_mask
@@ -393,11 +392,11 @@ def _main_street_component(sk: SkeletonGraph) -> list[int]:
     containing the lowest node id.
     """
     search = sk.search
-    _, labels = connected_components(search.matrix, directed=False)
-    size = np.bincount(labels)[labels]
+    labels = search.component_labels
     # local ids ascend with node ids, so argmax picks the largest component
     # holding the lowest id
-    return search.ids[labels == labels[np.argmax(size)]].tolist()
+    main = labels[np.argmax(search.component_sizes)]
+    return search.ids[labels == main].tolist()
 
 
 def sample_queries(world: World) -> list[tuple[int, int]]:
@@ -493,7 +492,7 @@ def run_query(world: World, index: int, src: int, dst: int) -> MetricsRecord:
         pot = world.potential_array
         run = run_min_exposure(g, sk.search, src, pot)
         pk_sg += run.total_packets
-        res = extract_path(run, dst, g, potentials=world.potentials)
+        res = extract_path(run, dst, g)
         # dominance puts the optimum within the skeleton's answer plus the
         # check's slack, so the oracle may stop there; an inf at that cap
         # means dominance is broken, and the uncapped search shows by how

@@ -14,8 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .field import ActiveGraph, CommGraph, NodeId, active_graph, bfs_tree, \
-    node_mask
+from .field import INF, ActiveGraph, CommGraph, NodeId, active_graph, \
+    hop_distances, lowest_parents, node_mask
 
 
 class Provenance(Enum):
@@ -63,6 +63,11 @@ class SkeletonGraph:
         """
         return active_graph(self.graph, self.awake)
 
+    @cached_property
+    def active(self) -> ActiveGraph:
+        """The nodes outside the danger region as a search graph."""
+        return active_graph(self.graph, ~node_mask(self.graph.n, self.blocked))
+
     def with_connectors(self, nodes, tag: Provenance = Provenance.ENDPOINT
                         ) -> "SkeletonGraph":
         """A copy with extra awake nodes (never waking blocked ones)."""
@@ -91,9 +96,9 @@ def attach_offstreet_endpoints(graph: CommGraph, sk: SkeletonGraph,
 
     The source runs an expanding-ring flood (doubling lifetime) until the ring
     contains an awake node, then the hop path to the nearest one joins as
-    connectors.  An off-street destination is served by flooding its enclosing
-    street cell, so every node of that cell joins.  On-street endpoints cost
-    nothing.
+    connectors; the source must lie outside the danger region.  An
+    off-street destination is served by flooding its enclosing street cell,
+    so every node of that cell joins.  On-street endpoints cost nothing.
     """
     packets = 0
     connectors: set[NodeId] = set()
@@ -102,21 +107,25 @@ def attach_offstreet_endpoints(graph: CommGraph, sk: SkeletonGraph,
 
     if src not in sk.awake:
         src_ok = False
-        allowed = ~node_mask(graph.n, sk.blocked)
-        awake = node_mask(graph.n, sk.awake)
-        ttl = 1
-        prev_reached = 0
+        active = sk.active
+        if not (0 <= src < graph.n and active.mask[src]):
+            raise ValueError(f"source {src} is not active")
+        # one flood gives every ring: the ring of lifetime ttl reaches the
+        # nodes within ttl hops, and each of them forwards once
+        dist = hop_distances(active, active.index(src))
+        hits = np.flatnonzero(sk.search.mask[active.ids] & np.isfinite(dist))
+        reach = dist[hits].min() if hits.size else INF
+        ttl, prev_reached = 1, 0
         while True:
-            # depth-capped flood: every reached node forwards once
-            dist, parent = bfs_tree(graph, [src], allowed, max_depth=ttl)
-            reached = int(np.isfinite(dist).sum())
+            reached = int(np.count_nonzero(dist <= ttl))
             packets += reached
-            hits = np.flatnonzero(awake & np.isfinite(dist))
-            if hits.size:
+            if reach <= ttl:
                 # nearest street node; argmin keeps the lowest id on ties
+                parent = lowest_parents(active,
+                                        np.where(dist <= reach, dist, INF))
                 node = parent[hits[np.argmin(dist[hits])]]
                 while node != -1:  # chain from src up to (excluding) the hit
-                    connectors.add(int(node))
+                    connectors.add(int(active.ids[node]))
                     node = parent[node]
                 src_ok = True
                 break

@@ -14,10 +14,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.csgraph import dijkstra
 
 from .danger import DangerZone, boundary_nodes, boundary_tolerance, \
     ids_in_box, zone_node_mask
-from .field import CommGraph, NodeId, bfs_tree, node_mask
+from .field import CommGraph, NodeId, SensorField, active_graph, \
+    hop_distances, lowest_parents
 from .skeleton import Provenance, SkeletonGraph, default_street_width
 
 
@@ -109,18 +111,26 @@ def build_perimeter_streets(graph: CommGraph, zone: DangerZone, width: float,
     Only the edges near the polygon are needed.  A boundary node and its
     outside neighbour lie within r of the boundary, since the edge between
     them crosses it, so a node d hops further out lies within (d + 1) r.
-    The search runs on the graph of the nodes that close, whose edges among
-    themselves are the full graph's, so `graph`'s own rows are never read.
+    The search runs on the graph of the sensors that close, a field of its
+    own in local ids whose edges are the full graph's among them, so
+    `graph`'s own rows are never read.  One multi-source Dijkstra over its
+    outside and boundary nodes stops at `depth` hops (no path gains by
+    passing a second boundary node).
     """
     fld = graph.field
     depth = math.ceil(width)
     radius = (depth + 1) * fld.radio_range + boundary_tolerance(zone)
-    band = CommGraph(field=fld,
-                     members=_near_boundary(zone, fld.positions, radius))
-    in_zone = zone_node_mask(zone, fld.positions, in_zone)
-    base = boundary_nodes(band, zone, in_zone)
-    dist, _ = bfs_tree(band, sorted(base), ~in_zone, max_depth=depth)
-    return frozenset(np.flatnonzero(np.isfinite(dist)).tolist())
+    ids = _near_boundary(zone, fld.positions, radius)
+    band = CommGraph(field=SensorField(
+        n=ids.size, side=fld.side, radio_range=fld.radio_range,
+        seed=fld.seed, positions=fld.positions[ids]))
+    inside = zone_node_mask(zone, fld.positions, in_zone)[ids]
+    base = np.fromiter(boundary_nodes(band, zone, inside), dtype=int)
+    inside[base] = False  # the boundary nodes are the sources
+    search = active_graph(band, ~inside)
+    dist = dijkstra(search.matrix, indices=search.ids.searchsorted(base),
+                    min_only=True, limit=depth)
+    return frozenset(ids[search.ids[np.isfinite(dist)]].tolist())
 
 
 def _near_boundary(zone: DangerZone, pos: np.ndarray,
@@ -149,15 +159,17 @@ def prune_street(graph: CommGraph, street: frozenset[NodeId],
     a, b = endpoints
     if a not in street or b not in street:
         raise ValueError("endpoints must belong to the street")
-    dist, parent = bfs_tree(graph, [a], node_mask(graph.n, street))
-    if not np.isfinite(dist[b]):
+    search = active_graph(graph, street)
+    start, node = search.index(a), search.index(b)
+    dist = hop_distances(search, start)
+    if not np.isfinite(dist[node]):
         return street, False
-    path = {b}
-    node = b
-    while node != a:
+    parent = lowest_parents(search, dist)
+    path = [node]
+    while node != start:
         node = int(parent[node])
-        path.add(node)
-    return frozenset(path), True
+        path.append(node)
+    return frozenset(search.ids[path].tolist()), True
 
 
 def build_uniform_skeleton(graph: CommGraph, zone: DangerZone | None,

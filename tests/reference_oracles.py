@@ -1,21 +1,23 @@
 """Pure-Python reference searches, kept as independent checks.
 
-The package runs its searches on CSR arrays: one numpy BFS kernel
-(`field.bfs_tree`) and `scipy.sparse.csgraph` for the centralized oracles.
-These loops walk the tuple-of-tuples adjacency (`CommGraph.adj`) one
-neighbour at a time instead.  `centralized_bfs` and
-`centralized_min_exposure` are the package's former oracles, unchanged;
-`reference_bfs` is the hand-written level loop the kernel replaced,
-generalized to several sources and a depth cap.  `reference_bfs_flood`
-is the hop flood as it ran over n-length state and an n x n matrix,
-before searches were relabelled to local ids, and
+The package runs every hop search on `scipy.sparse.csgraph` over an
+`ActiveGraph`: the BFS order with depths read off it, each node's lowest-id
+parent from its sorted induced row, and Dijkstra for the exposure oracle
+and the capped multi-source perimeter search.  These loops walk the
+tuple-of-tuples adjacency (`CommGraph.adj`) one neighbour at a time
+instead.  `centralized_bfs` and `centralized_min_exposure` are the
+package's former oracles, unchanged; `reference_bfs` is the hand-written
+level loop the array searches replaced, with several sources and a depth
+cap.  `reference_bfs_flood` is the hop flood as it ran over n-length state
+and an n x n matrix, before searches were relabelled to local ids, and
 `reference_min_exposure_flood` the synchronous exposure flood as a loop
-over packets, with a shuffle of the sender order.  `reference_quadtree`
-is the recursive cell tree refined against prefix-sum crossing counts,
-which the crossed-cell pyramid and leaf-level table replaced;
-`reference_leaf_at` and `reference_adaptive_awake` walk it, as the
-package once did per sensor.  `reference_points_in_region` is the zone
-test over every point, before the bounding-box prefilter, and
+over packets, with a shuffle of the sender order.  `reference_attach` is
+the expanding ring as a loop of depth-capped searches, one per lifetime.
+`reference_quadtree` is the recursive cell tree refined against
+prefix-sum crossing counts, which the crossed-cell pyramid and leaf-level
+table replaced; `reference_leaf_at` and `reference_adaptive_awake` walk
+it, as the package once did per sensor.  `reference_points_in_region` is
+the zone test over every point, before the bounding-box prefilter, and
 `reference_perimeter_streets` the perimeter search over the full graph,
 before the boundary band.
 """
@@ -33,7 +35,7 @@ from scipy.sparse.csgraph import breadth_first_order
 from skeleton_nav.adaptive import _pow2_side, rasterize_region
 from skeleton_nav.danger import _EDGE_EPS, DangerZone, boundary_nodes, \
     zone_node_mask
-from skeleton_nav.field import CommGraph, NodeId, bfs_tree
+from skeleton_nav.field import CommGraph, NodeId
 
 INF = math.inf
 
@@ -209,6 +211,55 @@ def reference_min_exposure_flood(graph: CommGraph, mask: np.ndarray,
     return value, parent, tx, rounds
 
 
+def reference_attach(graph: CommGraph, sk, src: NodeId, dst: NodeId
+                     ) -> tuple[int, set[NodeId], bool, bool]:
+    """The attach step as a ring loop: packets, connectors and both flags.
+
+    An off-street source floods with lifetime 1, 2, 4, ... until a ring
+    holds an awake node, or stops when a ring reaches no more nodes than
+    the one before; every reached node forwards once per ring.  The
+    connectors are the parent chain from the nearest awake node (lowest id
+    on ties) back to the source.  An off-street destination wakes every
+    active node of its enclosing street cell.
+    """
+    allowed = [v not in sk.blocked for v in range(graph.n)]
+    packets = 0
+    connectors: set[NodeId] = set()
+    src_ok = dst_ok = True
+    if src not in sk.awake:
+        src_ok = False
+        ttl, prev_reached = 1, 0
+        while True:
+            dist, parent = reference_bfs(graph, [src], allowed, ttl)
+            reached = sum(1 for d in dist if d != INF)
+            packets += reached
+            hits = [v for v in sorted(sk.awake) if dist[v] != INF]
+            if hits:
+                node = parent[min(hits, key=lambda v: dist[v])]
+                while node != -1:
+                    connectors.add(node)
+                    node = parent[node]
+                src_ok = True
+                break
+            if reached == prev_reached:
+                break
+            prev_reached = reached
+            ttl *= 2
+    if dst not in sk.awake and dst not in connectors:
+        if sk.geometry is None:
+            cell = {dst} - sk.blocked
+        else:
+            x0, y0, x1, y1 = sk.geometry.enclosing_cell(
+                *graph.field.position(dst))
+            cell = {v for v, (x, y) in
+                    enumerate(graph.field.positions.tolist())
+                    if x0 <= x <= x1 and y0 <= y <= y1} - sk.blocked
+        packets += len(cell)
+        connectors |= cell
+        dst_ok = dst in cell
+    return packets, connectors, src_ok, dst_ok
+
+
 class _CrossTester:
     """Answers 'does any zone boundary (or danger point) touch this cell?'."""
 
@@ -380,6 +431,5 @@ def reference_perimeter_streets(graph: CommGraph, zone: DangerZone,
     """Boundary nodes of the full graph, then ceil(width) hops outside."""
     base = boundary_nodes(graph, zone)
     outside = ~zone_node_mask(zone, graph.field.positions)
-    dist, _ = bfs_tree(graph, sorted(base), outside,
-                       max_depth=math.ceil(width))
-    return frozenset(np.flatnonzero(np.isfinite(dist)).tolist())
+    dist, _ = reference_bfs(graph, base, outside, math.ceil(width))
+    return frozenset(v for v, d in enumerate(dist) if d != INF)

@@ -74,7 +74,7 @@ def test_bfs_flood_packet_accounting():
         assert run.total_packets == len(reached)
 
 
-def test_bfs_flood_parents_match_bfs_tree():
+def test_bfs_flood_parents_are_lowest_id_predecessors():
     g, active, src = random_instance(1)
     run = run_bfs_flood(g, active, src)
     for v in range(g.n):
@@ -196,12 +196,12 @@ def test_extract_path_exposure_measures():
     pot = np.random.default_rng(55).random(g.n).tolist()
     run = run_min_exposure(g, active, src, pot)
     dst = max(v for v in range(g.n) if run.value[v] != INF)
-    res = extract_path(run, dst, g, potentials=pot)
+    res = extract_path(run, dst, g)
+    # the packet's accumulated value is reported, and it is the exposure
+    # summed along the recovered chain
+    assert res.exposure == run.value[dst]
     assert res.exposure == pytest.approx(sum(pot[v] for v in res.nodes),
                                          rel=1e-12)
-    # without the table the packet's accumulated value is reported
-    res2 = extract_path(run, dst, g)
-    assert res2.exposure == run.value[dst]
 
 
 def test_extract_path_unreachable(tiny_graph):

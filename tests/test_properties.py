@@ -1,8 +1,9 @@
 """Property tests: the array searches against the pure-Python references.
 
 Small random fields, including short radio ranges that split the graph into
-isolated components, random active masks, and potentials with zeros.  The
-BFS kernel and the csgraph oracles must match `reference_oracles` exactly.
+isolated components, random active masks, and potentials with zeros.
+`hop_bfs` (distances and lowest-id parents around blocked nodes) and the
+csgraph oracles must match `reference_oracles` exactly.
 Depth recovery from the csgraph BFS order is also checked on long paths and
 grids, whose many levels give many level boundaries, and skeleton floods on
 a cached search graph must equal floods given the awake node set.  The
@@ -13,7 +14,9 @@ the uncapped one wherever the cap reaches.  The quadtree's unit-cell leaf
 table must locate leaves and wake sensors exactly as the tree walk and the
 per-sensor loop do.  The zone test's bounding-box
 prefilter must keep every mask bit, and perimeter streets searched on a
-boundary band must equal the search on the full graph.
+boundary band must equal the search on the full graph.  The attach step,
+which charges every ring of the expanding ring from one flood, must equal
+the loop of depth-capped searches on fragmented skeletons.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ from hypothesis import given, settings, strategies as st
 from reference_oracles import centralized_bfs as reference_centralized_bfs
 from reference_oracles import centralized_min_exposure as \
     reference_min_exposure
-from reference_oracles import reference_adaptive_awake, reference_bfs, \
+from reference_oracles import reference_adaptive_awake, reference_attach, \
+    reference_bfs, \
     reference_bfs_flood, reference_leaf_at, reference_min_exposure_flood, \
     reference_perimeter_streets, reference_points_in_region, \
     reference_quadtree
@@ -35,11 +39,13 @@ from skeleton_nav.danger import _EDGE_EPS, DangerZone, points_in_region, \
     zone_node_mask
 from skeleton_nav.distsim import INF, active_graph, centralized_bfs, \
     centralized_min_exposure, extract_path, run_bfs_flood, run_min_exposure
-from skeleton_nav.field import SensorField, bfs_tree, build_comm_graph, \
-    generate_field, hop_distances
+from skeleton_nav.field import SensorField, build_comm_graph, \
+    generate_field, hop_bfs, hop_distances
 from skeleton_nav.harness import fixture_zone
-from skeleton_nav.skeleton import Provenance, SkeletonGraph
-from skeleton_nav.uniform import build_perimeter_streets
+from skeleton_nav.skeleton import Provenance, SkeletonGraph, \
+    attach_offstreet_endpoints
+from skeleton_nav.uniform import UniformStreetConfig, \
+    build_perimeter_streets, build_uniform_skeleton
 
 EXAMPLES = settings(max_examples=200, deadline=None)
 
@@ -102,21 +108,6 @@ def test_exposure_oracle_equals_reference(inst, isolate):
                for a, b in zip(before, after))
 
 
-@EXAMPLES
-@given(instances(), st.integers(1, 4),
-       st.one_of(st.none(), st.integers(0, 6)))
-def test_kernel_equals_reference_loop(inst, source_count, max_depth):
-    g, active, _, rng = inst
-    # sources are drawn from all nodes, so some may lie outside the mask
-    sources = rng.choice(g.n, size=min(source_count, g.n), replace=False)
-    dist, parent = bfs_tree(g, sources, active, max_depth=max_depth)
-    expect = reference_bfs(g, sources.tolist(), active, max_depth)
-    assert (dist.tolist(), parent.tolist()) == expect
-    all_dist, all_parent = bfs_tree(g, sources, max_depth=max_depth)
-    assert (all_dist.tolist(), all_parent.tolist()) == \
-        reference_bfs(g, sources.tolist(), None, max_depth)
-
-
 def lattice(xs, ys):
     """Comm graph of nodes at the given coordinates, unit radio range."""
     pos = np.column_stack((xs, ys)).astype(np.float64)
@@ -156,6 +147,18 @@ def shaped_instances(draw):
     if draw(st.integers(0, 4)) == 0:
         active[list(g.neighbors(source))] = False  # an isolated source
     return g, active, source, rng
+
+
+@EXAMPLES
+@given(shaped_instances())
+def test_kernel_equals_reference_loop(inst):
+    # hop_bfs: distances and lowest-id parents, with the inactive nodes
+    # blocked (as a mask and as a set) and with nothing blocked
+    g, active, src, _ = inst
+    expect = reference_bfs(g, [src], active)
+    assert hop_bfs(g, src, ~active) == expect
+    assert hop_bfs(g, src, set(np.flatnonzero(~active).tolist())) == expect
+    assert hop_bfs(g, src) == reference_bfs(g, [src])
 
 
 @EXAMPLES
@@ -456,3 +459,49 @@ def test_band_perimeter_equals_full_graph_search(case):
     g, zone, width = case
     assert build_perimeter_streets(g, zone, width) == \
         reference_perimeter_streets(g, zone, width)
+
+
+@st.composite
+def attach_cases(draw):
+    """A uniform skeleton around a random region, with two active endpoints.
+
+    Width 1.5 breaks the streets into pieces, and short radio ranges split
+    the field, so some sources sit in a component with no street node.
+    Sources are off-street where any active node is, and half the time
+    they come from those street-less components when any exist.
+    """
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    fld = generate_field(draw(st.integers(60, 500)),
+                         draw(st.sampled_from((1.2, 2.0, 3.0))), seed)
+    g = build_comm_graph(fld)
+    k = draw(st.integers(3, 8))
+    angles = (np.arange(k) + rng.uniform(0.0, 0.4, size=k)) * 2 * math.pi / k
+    radius = rng.uniform(0.5, fld.side / 3) * rng.uniform(0.4, 1.0, size=k)
+    verts = rng.uniform(0.0, fld.side, size=2) + \
+        np.column_stack((radius * np.cos(angles), radius * np.sin(angles)))
+    sk = build_uniform_skeleton(
+        g, DangerZone.region(verts),
+        UniformStreetConfig(epsilon=1 / 6,
+                            width=draw(st.sampled_from((1.5, 2.5)))))
+    active = sk.active
+    labels = active.component_labels
+    streets = np.unique(labels[sk.search.mask[active.ids]])
+    stranded = active.ids[~np.isin(labels, streets)]
+    off = active.ids[~sk.search.mask[active.ids]]
+    pool = stranded if stranded.size and draw(st.booleans()) else \
+        off if off.size else active.ids
+    src = int(rng.choice(pool))
+    dst = int(rng.choice(active.ids))
+    return g, sk, src, dst
+
+
+@EXAMPLES
+@given(attach_cases())
+def test_attach_equals_ring_loop(case):
+    g, sk, src, dst = case
+    res = attach_offstreet_endpoints(g, sk, src, dst)
+    packets, connectors, src_ok, dst_ok = reference_attach(g, sk, src, dst)
+    assert (res.packets, res.src_attached, res.dst_attached) == \
+        (packets, src_ok, dst_ok)
+    assert res.skeleton.awake == sk.awake | connectors

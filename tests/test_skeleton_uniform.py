@@ -279,6 +279,15 @@ def test_attach_floods_destination_cell(graph_cache):
     assert res.skeleton.awake == sk.awake | cell
 
 
+def test_attach_rejects_a_source_in_the_zone(graph_cache):
+    g = graph_cache(1024, 3.0, 5)
+    sk = build_uniform_skeleton(g, fixture_zone("simple").zone,
+                                UniformStreetConfig(epsilon=1 / 6, width=2.5))
+    inside = min(sk.blocked)
+    with pytest.raises(ValueError):
+        attach_offstreet_endpoints(g, sk, inside, min(sk.awake))
+
+
 def test_attach_preserves_reachability(graph_cache):
     # arbitrary active endpoints, simple zone: after attachment the skeleton
     # reaches the destination whenever the full active graph does.  Width
