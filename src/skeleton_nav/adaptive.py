@@ -2,15 +2,16 @@
 
 The field square is carved by a quadtree whose cells split wherever the
 (integer-snapped) zone boundary touches them, down to unit cells.  Leaf-cell
-boundaries become the streets; sensors within half a street width of their
-leaf's boundary stay awake.  For point dangers the tree refines around the
-points and hop-equidistant sensors form Voronoi streets between them.
+boundaries and the field border become the streets; sensors within half a
+street width of their leaf's boundary, or of the border, stay awake.  For
+point dangers the tree refines around the points and hop-equidistant
+sensors form Voronoi streets between them.
 
 The tree is held as arrays, not cell objects: a pyramid of crossed-cell
 masks, one per level, each the 2 x 2 OR of the level below, and one table
-of each unit cell's leaf level.  Locating a point's leaf is a clamp, a
-floor, one table read and a round down to the leaf's corner, so the
-skeleton build locates all sensors at once with array operations.
+of each unit cell's leaf level.  Locating a point's leaf is a clamp, an
+integer cast, one flat table read and a round down to the leaf's corner,
+so the skeleton build locates all sensors at once with array operations.
 """
 
 from __future__ import annotations
@@ -166,14 +167,16 @@ class Quadtree:
     def leaf_cells(self, x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Low corners and sizes of the leaves holding the points (x, y).
 
-        Points beyond the tree clamp onto its edge.  A point on an internal
-        edge lies in the upper cell, since floor sends an integer to the
-        cell that starts there.
+        Points beyond the tree clamp onto its edge, to [0, side - 1e-9].
+        The clamped values are non-negative, so the integer cast truncates
+        them to their floor: a point on an internal edge lies in the upper
+        cell, the one that starts there.  The levels are read from the
+        flattened table at x * side + y.
         """
         hi = self.side - _GRID_EPS
-        cx = np.floor(np.minimum(np.maximum(x, 0.0), hi)).astype(np.intp)
-        cy = np.floor(np.minimum(np.maximum(y, 0.0), hi)).astype(np.intp)
-        lv = self.level[cx, cy].astype(np.intp)
+        cx = np.clip(x, 0.0, hi).astype(np.intp)
+        cy = np.clip(y, 0.0, hi).astype(np.intp)
+        lv = self.level.ravel().take(cx * self.side + cy).astype(np.intp)
         return (cx >> lv) << lv, (cy >> lv) << lv, 1 << lv
 
     def leaf_at(self, x: float, y: float) -> QuadCell:
@@ -230,7 +233,8 @@ def build_adaptive_skeleton(graph: CommGraph, zone: DangerZone | None,
                             width: float | None = None,
                             in_zone: np.ndarray | None = None
                             ) -> SkeletonGraph:
-    """Wake every sensor within half a street width of its leaf boundary."""
+    """Wake every sensor within half a street width of its leaf boundary
+    or of the field border, outside the zone."""
     fld = graph.field
     if tree is None:
         tree = build_quadtree([] if zone is None else zone, fld.side)
@@ -242,9 +246,12 @@ def build_adaptive_skeleton(graph: CommGraph, zone: DangerZone | None,
     mask = zone_node_mask(zone, fld.positions, in_zone)
     x0, y0, s = tree.leaf_cells(x, y)
     # margins come from the unclamped positions: a sensor beyond the tree
-    # gets a negative margin and wakes
-    margin = np.minimum(np.minimum(x - x0, (x0 + s) - x),
-                        np.minimum(y - y0, (y0 + s) - y))
+    # gets a negative margin and wakes.  The field's top and right borders
+    # are streets too; where the tree overhangs the field no leaf edge
+    # runs along them, and elsewhere they are the border leaves' own edges
+    margin = np.minimum(np.minimum(np.minimum(x - x0, (x0 + s) - x),
+                                   np.minimum(y - y0, (y0 + s) - y)),
+                        fld.side - np.maximum(x, y))
     awake = np.flatnonzero(~mask & (margin <= half)).tolist()
     blocked = frozenset(np.flatnonzero(mask).tolist())
     provenance = dict.fromkeys(awake, Provenance.QUADTREE_EDGE)

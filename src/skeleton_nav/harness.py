@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from importlib import resources
 
 import numpy as np
@@ -232,8 +232,13 @@ def _flag(text: str) -> bool:
     return text == "1"
 
 
+@lru_cache(maxsize=None)
 def fixture_zone(name: str) -> ZoneSpec:
-    """Load one of the shipped polygon fixtures ('simple' or 'complex')."""
+    """Load one of the shipped polygon fixtures ('simple' or 'complex').
+
+    Each file is parsed once per process.  The spec is frozen and its
+    zone's arrays are read-only, so every caller can share it.
+    """
     ref = resources.files("skeleton_nav").joinpath("data", f"{name}.zone")
     return parse_zone(ref.read_text(encoding="ascii"))
 
@@ -252,14 +257,16 @@ class World:
     potential_packets: int
     resampled: int = 0
 
-    @cached_property
+    @property
     def oracle(self) -> ActiveGraph:
-        """The oracles' input over the active set, built on first use.
+        """The oracles' input over the active set: the skeleton's `active`.
 
-        `build_world` sets it up front when the potential phase already
-        built one, so the active set is never induced twice.
+        The skeleton blocks exactly the in-zone nodes, so its search graph
+        over the rest is this one, and the attach ring and the oracles
+        share it.  It is built on first use, unless the potential phase
+        already built it and `build_world` handed it over.
         """
-        return active_graph(self.graph, self.active)
+        return self.skeleton.active
 
     @cached_property
     def potential_array(self) -> np.ndarray:
@@ -374,12 +381,11 @@ def build_world(s: Scenario) -> World:
             f"the {s.skeleton} skeleton wakes all {active_count} active "
             f"nodes (street width {width:g}), so it is no sparser than the "
             "full network; narrow the streets")
-    world = World(scenario=s, field=f, graph=g, zone=zone, active=outside,
-                  skeleton=sk, potentials=potentials,
-                  potential_packets=pot_packets)
     if oracle is not None:
-        world.oracle = oracle  # fills the cached property
-    return world
+        sk.active = oracle  # fills the cached property
+    return World(scenario=s, field=f, graph=g, zone=zone, active=outside,
+                 skeleton=sk, potentials=potentials,
+                 potential_packets=pot_packets)
 
 
 def _main_street_component(sk: SkeletonGraph) -> list[int]:

@@ -65,7 +65,11 @@ class SkeletonGraph:
 
     @cached_property
     def active(self) -> ActiveGraph:
-        """The nodes outside the danger region as a search graph."""
+        """The nodes outside the danger region as a search graph.
+
+        A world's oracles read this same graph (`World.oracle`), and
+        `build_world` fills it when the potential phase already built one.
+        """
         return active_graph(self.graph, ~node_mask(self.graph.n, self.blocked))
 
     def with_connectors(self, nodes, tag: Provenance = Provenance.ENDPOINT

@@ -22,6 +22,10 @@ from .field import CommGraph, NodeId, SensorField, active_graph, \
     hop_distances, lowest_parents
 from .skeleton import Provenance, SkeletonGraph, default_street_width
 
+#: Slack on a unit bin's reach to a line, far above the rounding of a
+#: coordinate's distance to it.
+_LINE_GUARD = 1e-9
+
 
 @dataclass(frozen=True)
 class UniformStreetConfig:
@@ -195,7 +199,7 @@ def build_uniform_skeleton(graph: CommGraph, zone: DangerZone | None,
         grid_nodes = _pruned_grid(graph, pos, lines_x, lines_y, half,
                                   grid_nodes)
 
-    provenance = {v: Provenance.GRID_STREET for v in grid_nodes}
+    provenance = dict.fromkeys(grid_nodes, Provenance.GRID_STREET)
     awake = set(grid_nodes)
 
     if zone is not None and zone.kind == "region":
@@ -216,14 +220,29 @@ def _near_line(coord: np.ndarray, lines: list[float],
                half: float) -> np.ndarray:
     """Is each coordinate within half of its nearest line (lines sorted)?
 
-    The nearest line is one of the two that bracket the coordinate, so one
-    binary search replaces a distance to every line.
+    A bool table over the unit bins [b, b + 1) marks each bin that comes
+    within half (plus a 1e-9 guard) of some line; the end bins are always
+    marked, and coordinates beyond them clamp onto them.  A coordinate in
+    an unmarked bin is farther than half from every line.  Only the
+    coordinates in marked bins take the exact test: the nearest line is
+    one of the two that bracket the coordinate, found by binary search.
     """
     lines = np.asarray(lines)
-    k = np.searchsorted(lines, coord)
+    bins = max(math.ceil(lines[-1]), 1)
+    reach = half + _LINE_GUARD
+    near = np.zeros(bins, dtype=bool)
+    near[[0, -1]] = True
+    for lo, hi in zip(np.floor(lines - reach), np.floor(lines + reach)):
+        near[max(int(lo), 0):max(int(hi) + 1, 0)] = True
+    cand = np.flatnonzero(
+        near[np.clip(coord, 0, bins - 1).astype(np.intp)])
+    c = coord[cand]
+    k = np.searchsorted(lines, c)
     below = lines[np.maximum(k - 1, 0)]
     above = lines[np.minimum(k, len(lines) - 1)]
-    return np.minimum(np.abs(coord - below), np.abs(coord - above)) <= half
+    out = np.zeros(len(coord), dtype=bool)
+    out[cand] = np.minimum(np.abs(c - below), np.abs(c - above)) <= half
+    return out
 
 
 def _pruned_grid(graph: CommGraph, pos: np.ndarray, lines_x, lines_y,

@@ -16,7 +16,10 @@ the expanding ring as a loop of depth-capped searches, one per lifetime.
 `reference_quadtree` is the recursive cell tree refined against
 prefix-sum crossing counts, which the crossed-cell pyramid and leaf-level
 table replaced; `reference_leaf_at` and `reference_adaptive_awake` walk
-it, as the package once did per sensor.  `reference_points_in_region` is
+it, as the package once did per sensor, with the field border as a
+street.  `reference_grid_streets` measures each sensor's distance to every
+uniform grid line, where the package bins coordinates and brackets the
+few near a line.  `reference_points_in_region` is
 the zone test over every point, before the bounding-box prefilter, and
 `reference_perimeter_streets` the perimeter search over the full graph,
 before the boundary band.
@@ -384,8 +387,11 @@ def reference_leaf_at(tree: ReferenceTree, x: float,
 
 def reference_adaptive_awake(graph: CommGraph, zone, tree: ReferenceTree,
                              width: float) -> frozenset[NodeId]:
-    """Sensors outside the zone within width / 2 of their leaf's boundary."""
+    """Sensors outside the zone within width / 2 of their leaf's boundary
+    or of the field's top and right borders (the bottom and left ones are
+    leaf edges)."""
     half = width / 2.0
+    side = graph.field.side
     mask = zone_node_mask(zone, graph.field.positions)
     awake = set()
     for i in range(graph.n):
@@ -394,10 +400,23 @@ def reference_adaptive_awake(graph: CommGraph, zone, tree: ReferenceTree,
         x, y = graph.field.positions[i]
         leaf = reference_leaf_at(tree, float(x), float(y))
         s = leaf.size
-        margin = min(x - leaf.x0, leaf.x0 + s - x, y - leaf.y0, leaf.y0 + s - y)
+        margin = min(x - leaf.x0, leaf.x0 + s - x, y - leaf.y0, leaf.y0 + s - y,
+                     side - x, side - y)
         if margin <= half:
             awake.add(i)
     return frozenset(awake)
+
+
+def reference_grid_streets(graph: CommGraph, zone, lines,
+                           half: float) -> frozenset[NodeId]:
+    """Sensors outside the zone within half of some grid line, in x or in
+    y, by their distance to every line."""
+    lines = np.asarray(lines, dtype=np.float64)
+    pos = graph.field.positions
+    near = (np.abs(pos[:, :1] - lines) <= half).any(axis=1) \
+        | (np.abs(pos[:, 1:] - lines) <= half).any(axis=1)
+    mask = zone_node_mask(zone, pos)
+    return frozenset(np.flatnonzero(near & ~mask).tolist())
 
 
 def reference_points_in_region(zone: DangerZone, pts: np.ndarray) -> np.ndarray:

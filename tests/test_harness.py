@@ -557,6 +557,24 @@ def test_street_wide_enough_to_wake_everything_is_rejected(
     assert "no sparser than the full network" in capsys.readouterr().err
 
 
+def test_one_out_of_zone_search_graph_per_world():
+    # the skeleton blocks exactly the zone's nodes, so the oracles read the
+    # attach ring's graph; a region world builds it on first use
+    region = build_world(Scenario(n=1024, seed=3, zone_kind="simple",
+                                  skeleton="adaptive"))
+    assert "active" not in vars(region.skeleton)
+    assert region.oracle is region.skeleton.active
+    assert np.array_equal(region.oracle.mask, region.active)
+    assert not region.active.all()
+    # the potential phase builds it up front and hands it to the skeleton
+    points = build_world(Scenario(
+        n=1024, seed=9, zone_kind="points", danger_count=3, danger_seed=17,
+        skeleton="adaptive", width=3.0, voronoi=True, metrics=("exposure",)))
+    built = vars(points.skeleton)["active"]
+    assert points.oracle is built and points.skeleton.active is built
+    assert built.mask.all()
+
+
 def test_offstreet_source_floods_the_attached_skeleton():
     world = build_world(Scenario(n=1024, seed=3, zone_kind="simple",
                                  skeleton="adaptive"))

@@ -12,8 +12,9 @@ node, a drawn set or the source alone; the hop oracle's answer for one
 target must equal its full list, and a capped exposure oracle must equal
 the uncapped one wherever the cap reaches.  The quadtree's unit-cell leaf
 table must locate leaves and wake sensors exactly as the tree walk and the
-per-sensor loop do.  The zone test's bounding-box
-prefilter must keep every mask bit, and perimeter streets searched on a
+per-sensor loop do, and the uniform grid streets, found through a unit-bin
+table, must be the sensors within half a width of some line.  The zone
+test's bounding-box prefilter must keep every mask bit, and perimeter streets searched on a
 boundary band must equal the search on the full graph.  The attach step,
 which charges every ring of the expanding ring from one flood, must equal
 the loop of depth-capped searches on fragmented skeletons.
@@ -31,21 +32,21 @@ from reference_oracles import centralized_min_exposure as \
     reference_min_exposure
 from reference_oracles import reference_adaptive_awake, reference_attach, \
     reference_bfs, \
-    reference_bfs_flood, reference_leaf_at, reference_min_exposure_flood, \
-    reference_perimeter_streets, reference_points_in_region, \
-    reference_quadtree
+    reference_bfs_flood, reference_grid_streets, reference_leaf_at, \
+    reference_min_exposure_flood, reference_perimeter_streets, \
+    reference_points_in_region, reference_quadtree
 from skeleton_nav.adaptive import build_adaptive_skeleton, build_quadtree
 from skeleton_nav.danger import _EDGE_EPS, DangerZone, points_in_region, \
     zone_node_mask
 from skeleton_nav.distsim import INF, active_graph, centralized_bfs, \
     centralized_min_exposure, extract_path, run_bfs_flood, run_min_exposure
-from skeleton_nav.field import SensorField, build_comm_graph, \
+from skeleton_nav.field import CommGraph, SensorField, build_comm_graph, \
     generate_field, hop_bfs, hop_distances
 from skeleton_nav.harness import fixture_zone
 from skeleton_nav.skeleton import Provenance, SkeletonGraph, \
     attach_offstreet_endpoints
 from skeleton_nav.uniform import UniformStreetConfig, \
-    build_perimeter_streets, build_uniform_skeleton
+    build_perimeter_streets, build_uniform_skeleton, street_line_positions
 
 EXAMPLES = settings(max_examples=200, deadline=None)
 
@@ -295,7 +296,9 @@ def leaf_table_cases(draw):
     Field sides come from n: at n = 1056 (side 32.5) and n = 1090 the tree
     (side 64) reaches past the field.  Besides uniform positions, sensors
     sit on the edges and corners of random leaves, exactly half a width
-    inside a leaf edge, and beyond the field on every side.  Widths k / 32 make those margins equal half a width exactly.
+    inside a leaf edge or the field's top and right borders, and beyond the
+    field on every side.  Widths k / 32 make those margins equal half a
+    width exactly.
     Danger points may sit on the half-unit grid, so on cell edges and
     corners, where they touch two or four unit cells.
     """
@@ -319,8 +322,11 @@ def leaf_table_cases(draw):
                            st.floats(0.05, 3.0)))
     half = width / 2.0
     far = max(side, tree.side) + 1.0
+    along = rng.uniform(0.0, side, size=6)
     pts = [rng.uniform(0.0, side, size=(int(rng.integers(0, 60)), 2)),
-           rng.uniform(-1.0, far, size=(8, 2))]
+           rng.uniform(-1.0, far, size=(8, 2)),
+           np.column_stack((np.full(6, side - half), along)),
+           np.column_stack((along, np.full(6, side - half)))]
     for k in rng.integers(len(tree.leaves), size=20):
         leaf = tree.leaves[k]
         a, c = leaf.x0, leaf.y0
@@ -355,6 +361,56 @@ def test_leaf_table_equals_tree_walk(case):
     for x, y in g.field.positions.tolist():
         got, leaf = tree.leaf_at(x, y), reference_leaf_at(ref, x, y)
         assert (got.x0, got.y0, got.size) == (leaf.x0, leaf.y0, leaf.size)
+
+
+@st.composite
+def grid_street_cases(draw):
+    """A field, a zone, a grid-street config, its lines and half width.
+
+    n need not be a square, so the field's far border need not sit on the
+    street lattice.  Besides uniform positions, sensors sit at a line plus
+    or minus half a width, one ulp either side of that, and beyond the
+    field on both ends, with the other coordinate drawn at random.
+    """
+    n = draw(st.integers(16, 3000))
+    fld = generate_field(n, 3.0, draw(st.integers(0, 2**16)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    epsilon = draw(st.floats(0.01, 0.49))
+    s = UniformStreetConfig(epsilon).separation(n)
+    cfg = UniformStreetConfig(
+        epsilon,
+        width=draw(st.one_of(st.integers(11, 160).map(lambda k: k / 32),
+                             st.floats(0.34, 5.0))),
+        shift=draw(st.floats(0.0, 1.0, exclude_max=True)) * s)
+    half = cfg.width / 2.0
+    lines = street_line_positions(fld.side, s, cfg.shift)
+    picks = np.asarray(lines)[rng.integers(len(lines), size=12)]
+    marks = np.concatenate((picks - half, picks + half))
+    coord = np.concatenate((marks, np.nextafter(marks, np.inf),
+                            np.nextafter(marks, -np.inf),
+                            rng.uniform(-2.0, 0.0, size=4),
+                            fld.side + rng.uniform(0.0, 2.0, size=4)))
+    rng.shuffle(coord)
+    coord = coord[:n]
+    pos = fld.positions.copy()
+    axis = rng.integers(2, size=len(coord))
+    pos[np.arange(len(coord)), axis] = coord
+    zone = draw(st.sampled_from((None, "simple", "complex")))
+    zone = None if zone is None else fixture_zone(zone).zone
+    g = CommGraph(field=SensorField(n=n, side=fld.side, radio_range=3.0,
+                                    seed=fld.seed, positions=pos))
+    return g, zone, cfg, lines, half
+
+
+@EXAMPLES
+@given(grid_street_cases())
+def test_grid_streets_equal_distance_to_every_line(case):
+    g, zone, cfg, lines, half = case
+    sk = build_uniform_skeleton(g, zone, cfg)
+    assert list(sk.geometry.lines_x) == lines
+    grid = frozenset(v for v, tag in sk.provenance.items()
+                     if tag is Provenance.GRID_STREET)
+    assert grid == reference_grid_streets(g, zone, lines, half)
 
 
 def short_edge_polygon(draw, rng) -> np.ndarray:

@@ -13,7 +13,8 @@ import math
 import numpy as np
 import pytest
 
-from reference_oracles import reference_adaptive_awake, reference_quadtree
+from reference_oracles import reference_adaptive_awake, reference_leaf_at, \
+    reference_quadtree
 from skeleton_nav.adaptive import (
     Cluster,
     QuadCell,
@@ -27,8 +28,9 @@ from skeleton_nav.adaptive import (
 )
 from skeleton_nav.danger import DangerZone, perimeter_length, zone_node_mask
 from skeleton_nav.field import generate_field, hop_bfs, nearest_node
-from skeleton_nav.harness import Scenario, fixture_zone, run_scenario
-from skeleton_nav.skeleton import Provenance
+from skeleton_nav.harness import Scenario, build_world, fixture_zone, \
+    run_scenario
+from skeleton_nav.skeleton import Provenance, default_street_width
 
 UNIT_ZONE = DangerZone.region([(1, 1), (2, 1), (2, 2), (1, 2)])
 
@@ -154,6 +156,27 @@ def test_leaf_at_and_enclosing_cell():
     assert t44.leaf_at(99.0, 99.0) == t44.leaf_at(3.99, 3.99)
 
 
+@pytest.mark.parametrize("n, name", ((1024, "simple"), (1056, "complex")))
+def test_leaf_cells_equals_tree_walk_on_edges(n, name):
+    zone = fixture_zone(name).zone
+    side = math.sqrt(n)
+    tree, ref = build_quadtree(zone, side), reference_quadtree(zone, side)
+    top = tree.side
+    assert (top > side) == (n == 1056)  # n = 1056: the tree overhangs
+    ticks = np.arange(top + 1.0)
+    # integer edges, cell middles, just below the tree's edge, the field's
+    # side, points past the tree and negative points
+    vals = np.concatenate((ticks, ticks + 0.5, [
+        top - 1e-9, np.nextafter(top, 0.0), side, side - 1e-9, top + 1e-9,
+        top + 0.5, 3.0 * top, -1e-9, -0.5, -40.0]))
+    x, y = (a.ravel() for a in np.meshgrid(vals, vals))
+    got = np.column_stack(tree.leaf_cells(x, y))
+    expect = [(leaf.x0, leaf.y0, leaf.size) for leaf in
+              (reference_leaf_at(ref, a, b)
+               for a, b in zip(x.tolist(), y.tolist()))]
+    assert np.array_equal(got, expect)
+
+
 def test_second_zone_only_refines():
     simple = fixture_zone("simple").zone
     extra = DangerZone.region([(2, 2), (5, 2), (5, 5), (2, 5)])
@@ -180,6 +203,23 @@ def test_no_zone_skeleton_is_the_field_border(graph_cache):
     assert sk.construction == "adaptive"
     explicit = build_adaptive_skeleton(g, None, width=2.0 / 3.0)
     assert explicit.awake == sk.awake
+
+
+@pytest.mark.parametrize("n", (1056, 1090))
+def test_field_border_is_a_street_where_the_tree_overhangs(n):
+    world = build_world(Scenario(n=n, seed=3, zone_kind="complex",
+                                 skeleton="adaptive"))
+    fld, sk = world.field, world.skeleton
+    assert sk.geometry.side > fld.side
+    width = default_street_width(fld.radio_range)
+    x, y = fld.positions.T
+    near = world.active & ((fld.side - x <= width / 2)
+                           | (fld.side - y <= width / 2))
+    assert np.count_nonzero(near) > 10
+    assert set(np.flatnonzero(near).tolist()) <= sk.awake
+    tree = reference_quadtree(world.zone, fld.side)
+    assert sk.awake == reference_adaptive_awake(world.graph, world.zone,
+                                                tree, width)
 
 
 def test_fixture_skeleton_wakes_leaf_margins(graph_cache):

@@ -26,6 +26,7 @@ from skeleton_nav.skeleton import (
 )
 from skeleton_nav.uniform import (
     UniformStreetConfig,
+    _near_line,
     build_perimeter_streets,
     build_uniform_skeleton,
     prune_street,
@@ -89,6 +90,57 @@ def test_street_line_positions():
     # lines landing on the border within rounding noise collapse into it
     lines = street_line_positions(32.0, 8.0, 32.0 - 24.0 - 5e-10)
     assert len(lines) == len(set(round(p, 6) for p in lines))
+
+
+def test_near_line_at_street_edges():
+    # dyadic lines and half width: line +- half is exact, so it is on the
+    # street, and one ulp farther out is off it
+    lines, half = [0.0, 8.0, 16.0, 20.0], 0.5
+    edge = np.array([p + d for p in lines for d in (-half, half)])
+    out = np.where(edge > np.repeat(lines, 2), np.inf, -np.inf)
+    assert _near_line(edge, lines, half).all()
+    assert _near_line(np.nextafter(edge, -out), lines, half).all()
+    assert not _near_line(np.nextafter(edge, out), lines, half).any()
+    # negative coordinates and coordinates past the side clamp onto the
+    # end bins and still take the exact test
+    far = np.array([-0.25, -0.5, -0.5000001, -3.0, -1e9,
+                    20.25, 20.5, 20.5000001, 23.0, 1e9])
+    assert _near_line(far, lines, half).tolist() == \
+        [True, True, False, False, False, True, True, False, False, False]
+    # 4.5 - nextafter(2, 0) rounds to 2.5, so that coordinate is on the
+    # street though its bin lies wholly below 4.5 - 2.5: the table's 1e-9
+    # guard marks the bin
+    c = np.nextafter(2.0, 0.0)
+    assert abs(c - 4.5) == 2.5
+    assert _near_line(np.array([c, 1.5]), [4.5, 9.0], 2.5).tolist() == \
+        [True, False]
+    # the end bins are always marked: a coordinate clamped onto bin 0 is
+    # tested exactly even when no line reaches that bin
+    assert _near_line(np.array([-3.25, -3.75, -0.25, 0.5]), [-3.0, 4.5, 9.0],
+                      0.5).tolist() == [True, False, False, False]
+
+
+# the last line sits a hair below an integer bin edge: the border merged
+# into a lattice line there, or the border itself sits there; then a side
+# that is no integer
+@pytest.mark.parametrize("side, shift, last", (
+    (32.0, 8.0 - 5e-10, 32.0 - 5e-10),
+    (32.0 - 5e-10, 0.0, 32.0 - 5e-10),
+    (32.496, 0.3, 32.496)))
+@pytest.mark.parametrize("half", (1 / 3, 0.5, 0.75, 2.5))
+def test_near_line_equals_distance_to_every_line(side, shift, last, half):
+    lines = street_line_positions(side, 8.0, shift)
+    assert abs(lines[-1] - last) < 1e-12
+    marks = np.array([p + d for p in lines + [8.0, 16.0, side]
+                      for d in (-half, 0.0, half)]
+                     + [-half, side + half, side, math.ceil(side)])
+    coord = np.concatenate((marks, np.nextafter(marks, np.inf),
+                            np.nextafter(marks, -np.inf),
+                            np.linspace(-2.0, side + 2.0, 4001)))
+    expect = (np.abs(coord[:, None] - np.asarray(lines)) <= half).any(axis=1)
+    got = _near_line(coord, lines, half)
+    assert np.array_equal(got, expect)
+    assert got.any() and not got.all()
 
 
 def test_grid_strip_membership_recount(graph_cache):
