@@ -9,8 +9,9 @@ with a margin.  Run a section again before touching a constant:
 With no --section the whole sweep runs; the gate-level sections take
 about a minute combined.  The census-scaling section builds worlds up to
 n = 2^20 and prints the process's own peak RSS; the query-scaling section
-times one query's skeleton flood and hop oracle up to n = 2^18, and its
-exposure flood and exposure oracle at n = 2^14 and 2^16.
+times one query's skeleton flood and hop oracle up to n = 2^18, with the
+oracle graph's build time and the nodes its BFS reaches, and its exposure
+flood and exposure oracle at n = 2^14 and 2^16.
 """
 from __future__ import annotations
 
@@ -230,7 +231,7 @@ def section_attach():
                                  skeleton="adaptive"))
     g, sk = world.graph, world.skeleton
     off = np.flatnonzero(world.active & ~sk.search.mask)
-    street = int(sk.search.ids[0])
+    street = int(sk.search.ids.min())
     sources = np.random.default_rng(5).choice(off, size=40, replace=False)
     t0 = time.perf_counter()
     sk.active  # the search graph the ring floods, built on first use
@@ -482,14 +483,20 @@ def section_query_scaling():
                      metrics=("path",))
         world = build_world(s)
         pairs = sample_queries(world)
-        g, search, oracle = world.graph, world.skeleton.search, world.oracle
+        g, search = world.graph, world.skeleton.search
+        t0 = time.perf_counter()
+        oracle = world.oracle  # built on first use, so timed here
+        build = time.perf_counter() - t0
+        reached = np.mean([oracle.component_sizes[oracle.index(a)]
+                           for a, _ in pairs])
         flood = per_query_ms(lambda a, b: run_bfs_flood(g, search, a), pairs)
         hops = per_query_ms(
             lambda a, b: centralized_bfs(g, oracle, a, target=b), pairs)
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         print(f"n=2^{k}: awake {world.skeleton.size}, skeleton flood "
-              f"{flood:.3f} ms, hop oracle {hops:.3f} ms per query, "
-              f"peak RSS so far {peak:.0f} MB")
+              f"{flood:.3f} ms, hop oracle {hops:.3f} ms per query; oracle "
+              f"graph built once in {build * 1e3:.2f} ms, its BFS reaches "
+              f"{reached:.0f} nodes; peak RSS so far {peak:.0f} MB")
         del world, g, search, oracle
 
     print("== per-query exposure search cost, exposure-points construction, "

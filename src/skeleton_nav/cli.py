@@ -95,9 +95,9 @@ def cmd_trace(args) -> int:
     from .skeleton import attach_offstreet_endpoints
 
     s = _load(args)
-    world = build_world(s)
     if s.queries < 1:
         raise ScenarioError("trace needs a scenario with queries")
+    world = build_world(s)
     src, dst = sample_queries(world)[0]
     attach = attach_offstreet_endpoints(world.graph, world.skeleton, src, dst)
     lines: list[str] = []

@@ -16,11 +16,17 @@ graph's local ids: their state is k-length for a set of k nodes, and a
 local parents.  Trace lines name nodes by node id.  The hop flood, the hop
 oracle and the potential phase read hop distances off one csgraph BFS order
 (`field.hop_distances`), whose cost follows the edges the search reaches;
-the flood takes each node's lowest-id parent from its sorted induced row
+the flood takes each node's lowest-id parent from its induced row
 (`field.lowest_parents`).  The exposure flood runs each round as a few
 array steps over the frontier's rows of the search graph's CSR arrays, and
 its oracle is csgraph's Dijkstra on weights gathered over the same index
 arrays, with the source's potential folded into its row.
+
+Node order: over part of the network a search graph's local ids follow
+space order (see `field`), its rows list neighbours by node id, and every
+tie goes to the lowest node id, never to the lowest local id.  The
+exposure flood's parents and both floods' trace order compare node ids,
+so no result depends on the numbering.
 
 Both oracles return the full n-length table by default.  Given a `target`
 they answer for that node alone: the hop oracle counts hops up the BFS
@@ -31,10 +37,11 @@ Dijkstra stops.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -58,26 +65,33 @@ class PacketKind(Enum):
 class SimRun:
     """Outcome of one distributed run: per-node state plus packet accounting.
 
-    The state is held per local id of the search graph (`ids` maps local
-    ids to node ids): each node's value, its parent's local id (-1: none)
-    and its transmission count.  `value`, `parent` and `transmissions`
-    spread it over all n nodes, built on first read.
+    The state is held per local id of the search graph `search`: each
+    node's value, its parent's local id (-1: none) and its transmission
+    count.  `value`, `parent` and `transmissions` spread it over all n
+    nodes, built on first read.
     """
 
     kind: PacketKind
     source: NodeId
     rounds: int
     total_packets: int
-    ids: np.ndarray
+    search: ActiveGraph
     local_value: Sequence[float]   # hop distance or accumulated exposure
     local_parent: Sequence[int]
     local_tx: Sequence[int]
-    n: int
+
+    @property
+    def ids(self) -> np.ndarray:
+        """Local id -> node id."""
+        return self.search.ids
+
+    @property
+    def n(self) -> int:
+        return self.search.mask.size
 
     def local(self, node: NodeId) -> int:
         """The local id of a node, or -1 if the search graph lacks it."""
-        i = int(np.searchsorted(self.ids, node))
-        return i if i < self.ids.size and self.ids[i] == node else -1
+        return self.search.index(node)
 
     def value_at(self, node: NodeId) -> float:
         """One node's value, read from the local state (inf: unreached)."""
@@ -136,17 +150,17 @@ def run_bfs_flood(graph: CommGraph, active, source: NodeId,
     reached = np.isfinite(dist)
     if trace is not None:
         heard = np.flatnonzero(parent >= 0)
-        heard = heard[np.lexsort((heard, parent[heard], dist[heard]))]
         ids = search.ids
-        for hops, u, v in zip(dist[heard].astype(int).tolist(),
-                              ids[parent[heard]].tolist(),
-                              ids[heard].tolist()):
-            trace(f"{hops - 1} {u} {v} {PacketKind.SEARCH.value} {hops}")
+        u, v = ids[parent[heard]], ids[heard]
+        order = np.lexsort((v, u, dist[heard]))
+        for hops, a, b in zip(dist[heard][order].astype(int).tolist(),
+                              u[order].tolist(), v[order].tolist()):
+            trace(f"{hops - 1} {a} {b} {PacketKind.SEARCH.value} {hops}")
     return SimRun(kind=PacketKind.SEARCH, source=source,
                   rounds=int(dist[reached].max()) + 1,
                   total_packets=int(np.count_nonzero(reached)),
-                  ids=search.ids, local_value=dist, local_parent=parent,
-                  local_tx=reached.astype(np.int64), n=graph.n)
+                  search=search, local_value=dist, local_parent=parent,
+                  local_tx=reached.astype(np.int64))
 
 
 def run_min_exposure(graph: CommGraph, active, source: NodeId,
@@ -161,6 +175,8 @@ def run_min_exposure(graph: CommGraph, active, source: NodeId,
     start-of-round value, with the lowest-id such sender as parent.  The
     fixed point equals a centralized node-weighted shortest path search.
     Trace lines go one per improved receiver, by round, sender, receiver.
+    Parents are kept as node ids while the flood runs, so the lowest-id
+    sender wins whatever the local numbering.
     """
     search, src = _search_graph(graph, active, source)
     indptr, indices = search.matrix.indptr, search.matrix.indices
@@ -182,19 +198,20 @@ def run_min_exposure(graph: CommGraph, active, source: NodeId,
         improved = value < before
         frontier = np.flatnonzero(improved)
         won = (cand == value.take(receivers)) & improved.take(receivers)
-        parent[frontier] = k
-        np.minimum.at(parent, receivers[won], senders[won])
+        parent[frontier] = graph.n  # node-id parents, lowest wins
+        np.minimum.at(parent, receivers[won], ids.take(senders[won]))
         if trace is not None:
-            heard = frontier[np.argsort(parent[frontier], kind="stable")]
-            for u, v, x in zip(ids[parent[heard]].tolist(),
-                               ids[heard].tolist(), value[heard].tolist()):
-                trace(f"{rounds} {u} {v} "
+            u, v = parent[frontier], ids[frontier]
+            order = np.lexsort((v, u))
+            for a, b, x in zip(u[order].tolist(), v[order].tolist(),
+                               value[frontier[order]].tolist()):
+                trace(f"{rounds} {a} {b} "
                       f"{PacketKind.EXPOSURE_SEARCH.value} {x:.17g}")
         rounds += 1
+    local_parent = np.where(parent >= 0, search.local.take(parent), -1)
     return SimRun(kind=PacketKind.EXPOSURE_SEARCH, source=source,
-                  rounds=rounds, total_packets=int(tx.sum()), ids=ids,
-                  local_value=value, local_parent=parent, local_tx=tx,
-                  n=graph.n)
+                  rounds=rounds, total_packets=int(tx.sum()), search=search,
+                  local_value=value, local_parent=local_parent, local_tx=tx)
 
 
 @dataclass(eq=False)
@@ -247,8 +264,9 @@ def extract_path(run: SimRun, destination: NodeId, graph: CommGraph
                  ) -> PathResult:
     """Walk parents back from the destination and measure the route.
 
-    The walk reads the run's local state, so it costs the route's length.
-    An exposure run reports the exposure its packet accumulated.
+    The walk reads the run's local state, so it costs the route's length,
+    and one `np.hypot` over the whole chain gives the hop lengths.  An
+    exposure run reports the exposure its packet accumulated.
     """
     node = run.local(destination)
     if node < 0 or run.local_value[node] == INF:
@@ -265,11 +283,13 @@ def extract_path(run: SimRun, destination: NodeId, graph: CommGraph
         chain.append(node)
     else:
         raise RuntimeError("parent chain has a cycle")
-    chain = run.ids[chain[::-1]].tolist()
-    pos = graph.field.positions
-    length = 0.0
-    for a, b in zip(chain, chain[1:]):
-        length += float(np.hypot(*(pos[a] - pos[b])))
+    chain = run.ids[chain[::-1]]
+    step = graph.field.positions[chain]
+    step = step[:-1] - step[1:]
+    # a left fold from the source, as a loop over the hops sums it; sum()
+    # compensates float sums from Python 3.12 on, so its bits could differ
+    length = reduce(operator.add, np.hypot(*step.T).tolist(), 0.0)
+    chain = chain.tolist()
     exposure = run.value_at(destination) \
         if run.kind is PacketKind.EXPOSURE_SEARCH else None
     return PathResult(nodes=tuple(chain), hops=len(chain) - 1, length=length,

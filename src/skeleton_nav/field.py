@@ -9,16 +9,23 @@ triple regenerates the identical field bit for bit.
 The graph is stored as CSR arrays, built the first time a neighbour is
 asked for: a world whose skeleton needs only positions (a size census) never
 builds them.  Every hop search runs on scipy's `csgraph` over an
-`ActiveGraph`, which relabels a node set of k nodes to local ids 0..k-1 in
-ascending id order and holds its k x k induced matrix, built once from the
-members' CSR rows and reused.  A search over it takes and returns local ids
-and allocates k-length arrays, so a search over a skeleton costs time in
-proportion to the skeleton, not to n.  `hop_distances` reads hop depths off
-one `breadth_first_order`, and `lowest_parents` gives each reached node its
+`ActiveGraph`, which relabels a node set of k nodes to local ids 0..k-1 and
+holds its k x k induced matrix, built once from the members' CSR rows and
+reused.  A search over it takes and returns local ids and allocates k-length
+arrays, so a search over a skeleton costs time in proportion to the
+skeleton, not to n.  `hop_distances` reads hop depths off one
+`breadth_first_order`, and `lowest_parents` gives each reached node its
 lowest-id neighbour one level up, the parent a synchronous flood gives.
 Searches from several sources or to a capped depth (perimeter streets) are
 one `dijkstra` call on the same matrix.  Callers that need a table over all
 n nodes spread the local one once.
+
+Node order: over part of the network, local ids follow space order (strips
+one radio range high, by x within a strip), so a search that sweeps the
+field reads rows that lie close together in memory; over every node they
+are the node ids.  Each row lists its neighbours by node id, and every tie
+goes to the lowest node id, never to the lowest local id, so no result
+depends on the numbering.
 """
 
 from __future__ import annotations
@@ -129,29 +136,55 @@ class CommGraph:
         """Degrees of `nodes` and their neighbour rows, concatenated in order."""
         return row_runs(self.indptr, self.indices, nodes)
 
-    def induced(self, mask: np.ndarray) -> csr_matrix:
-        """Unit-weight k x k matrix of the edges among the k nodes in mask.
+    def induced(self, mask: np.ndarray) -> ActiveGraph:
+        """The search graph of the k nodes in mask, with the unit-weight
+        k x k matrix of the edges among them.
 
-        Rows and columns are local ids: local id i stands for the i-th
-        masked node in ascending id order.  The unit weights are one
-        broadcast value, so no array of one entry per edge is made for
-        them.  With every node in mask the local ids are the node ids and
-        the matrix is the graph itself: it shares the read-only `indices`.
+        Over part of the network, local ids follow `space_order`; each row
+        keeps its neighbours in node-id order, as the graph's own rows do.
+        Over every node the local ids are the node ids and the matrix is
+        the graph itself: it shares the read-only `indices`.  The unit
+        weights are one broadcast value, so no array of one entry per edge
+        is made for them.
         """
+        n = self.n
         indptr, indices = self.indptr, self.indices
-        if not mask.all():
-            counts, nbrs = self.neighbor_runs(np.flatnonzero(mask))
-            keep = mask[nbrs]
-            local = np.cumsum(mask, dtype=np.int32) - 1  # node id -> local id
-            indices = local[nbrs[keep]]
+        if mask.all():
+            ids = np.arange(n)
+            local = np.arange(n, dtype=np.int32)
+        else:
+            ids = space_order(self.field, mask)
+            local = np.full(n, -1, dtype=np.int32)
+            local[ids] = np.arange(ids.size, dtype=np.int32)
+            counts, nbrs = self.neighbor_runs(ids)
+            nbrs = local.take(nbrs)
+            keep = nbrs >= 0
+            indices = nbrs[keep]
             del nbrs
             # row i starts after the entries kept in the rows before it
             kept = np.zeros(keep.size + 1, dtype=np.int32)
             np.cumsum(keep, out=kept[1:])
             indptr = kept[np.concatenate(([0], np.cumsum(counts)))]
+        for arr in (ids, local):
+            arr.setflags(write=False)
         ones = np.broadcast_to(np.float64(1.0), indices.shape)
-        k = indptr.size - 1
-        return csr_matrix((ones, indices, indptr), shape=(k, k), copy=False)
+        k = ids.size
+        return ActiveGraph(mask=mask, ids=ids, local=local,
+                           matrix=csr_matrix((ones, indices, indptr),
+                                             shape=(k, k), copy=False))
+
+
+def space_order(field: SensorField, mask: np.ndarray) -> np.ndarray:
+    """The ids of the nodes in mask in space order.
+
+    Strips one radio range high run bottom to top, and each strip runs by
+    x; a stable sort leaves equal keys in node-id order.  A node's
+    neighbours then sit in its own strip or the next one, so their rows lie
+    near its own.
+    """
+    ids = np.flatnonzero(mask)
+    x, y = field.positions[ids].T
+    return ids[np.lexsort((x, np.floor(y / field.radio_range)))]
 
 
 def row_runs(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray
@@ -214,24 +247,23 @@ def node_mask(n: int, nodes: Collection[NodeId] | np.ndarray | None
 class ActiveGraph:
     """A node set relabelled to local ids, with its induced matrix.
 
-    Local id i stands for node ``ids[i]``, the i-th member in ascending id
-    order, so relabelling keeps the order of node ids.  `matrix` is the
-    k x k unit-weight csgraph matrix of the edges among the k members, so
-    a search over it allocates and returns k-length arrays, whatever n is.
-    Over every node the local ids are the node ids.
+    Local id i stands for node ``ids[i]``; `local` maps back.  `matrix` is
+    the k x k unit-weight csgraph matrix of the edges among the k members,
+    so a search over it allocates and returns k-length arrays, whatever n
+    is.  `CommGraph.induced` builds it: over part of the network the local
+    ids follow space order, over every node they are the node ids.  Rows
+    list neighbours by node id, and no code may assume that local ids
+    ascend with node ids: a tie goes to the lowest node id.
     """
 
-    mask: np.ndarray
+    mask: np.ndarray     # (n,) bool: members
+    ids: np.ndarray      # (k,) int64: local id -> node id, read-only
+    local: np.ndarray    # (n,) int32: node id -> local id (-1: not a member)
     matrix: csr_matrix
 
-    @cached_property
-    def ids(self) -> np.ndarray:
-        """(k,) int64 member ids, ascending: local id -> node id."""
-        return np.flatnonzero(self.mask)
-
     def index(self, node: NodeId) -> int:
-        """The local id of a member node."""
-        return int(np.searchsorted(self.ids, node))
+        """The local id of a node, or -1 if it is not a member."""
+        return int(self.local[node]) if 0 <= node < self.local.size else -1
 
     @cached_property
     def component_labels(self) -> np.ndarray:
@@ -255,8 +287,7 @@ def active_graph(graph: CommGraph, active) -> ActiveGraph:
     """
     if isinstance(active, ActiveGraph):
         return active
-    mask = node_mask(graph.n, active)
-    return ActiveGraph(mask=mask, matrix=graph.induced(mask))
+    return graph.induced(node_mask(graph.n, active))
 
 
 def hop_distances(search: ActiveGraph, source: int) -> np.ndarray:
@@ -289,9 +320,10 @@ def hop_distances(search: ActiveGraph, source: int) -> np.ndarray:
 def lowest_parents(search: ActiveGraph, dist: np.ndarray) -> np.ndarray:
     """Per local id, the lowest-id neighbour one level up (-1: none).
 
-    `dist` holds hop distances (inf: unreached).  Induced rows are sorted,
-    so a node's parent is the first neighbour in its row one level up: the
-    lowest-id sender of a synchronous flood.  Only reached rows are read.
+    `dist` holds hop distances (inf: unreached).  Induced rows list their
+    neighbours by node id, so a node's parent is the first neighbour in its
+    row one level up: the lowest-id sender of a synchronous flood, however
+    the local ids are numbered.  Only reached rows are read.
     """
     mat = search.matrix
     reached = np.flatnonzero(dist < INF)

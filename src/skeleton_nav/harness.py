@@ -399,10 +399,9 @@ def _main_street_component(sk: SkeletonGraph) -> list[int]:
     """
     search = sk.search
     labels = search.component_labels
-    # local ids ascend with node ids, so argmax picks the largest component
-    # holding the lowest id
-    main = labels[np.argmax(search.component_sizes)]
-    return search.ids[labels == main].tolist()
+    # by size, then by node id: the first is the lowest id of the largest
+    first = np.lexsort((search.ids, -search.component_sizes))[0]
+    return np.sort(search.ids[labels == labels[first]]).tolist()
 
 
 def sample_queries(world: World) -> list[tuple[int, int]]:

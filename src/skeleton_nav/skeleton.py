@@ -124,10 +124,11 @@ def attach_offstreet_endpoints(graph: CommGraph, sk: SkeletonGraph,
             reached = int(np.count_nonzero(dist <= ttl))
             packets += reached
             if reach <= ttl:
-                # nearest street node; argmin keeps the lowest id on ties
+                # nearest street node, the lowest node id among equals
                 parent = lowest_parents(active,
                                         np.where(dist <= reach, dist, INF))
-                node = parent[hits[np.argmin(dist[hits])]]
+                near = hits[dist[hits] == reach]
+                node = parent[near[np.argmin(active.ids[near])]]
                 while node != -1:  # chain from src up to (excluding) the hit
                     connectors.add(int(active.ids[node]))
                     node = parent[node]

@@ -132,7 +132,7 @@ def build_perimeter_streets(graph: CommGraph, zone: DangerZone, width: float,
     base = np.fromiter(boundary_nodes(band, zone, inside), dtype=int)
     inside[base] = False  # the boundary nodes are the sources
     search = active_graph(band, ~inside)
-    dist = dijkstra(search.matrix, indices=search.ids.searchsorted(base),
+    dist = dijkstra(search.matrix, indices=search.local[base],
                     min_only=True, limit=depth)
     return frozenset(ids[search.ids[np.isfinite(dist)]].tolist())
 

@@ -191,6 +191,30 @@ def test_extract_path_walks_the_parent_chain():
     assert res.length == pytest.approx(length, rel=1e-12)
 
 
+def test_extract_path_length_equals_the_hop_loop():
+    # random chains of far-apart nodes: one hypot over the chain, summed
+    # from the source, gives the bits of a loop over the hops
+    g = build_comm_graph(generate_field(300, 3.0, 4))
+    pos = g.field.positions
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        chain = rng.permutation(g.n)[:int(rng.integers(1, 200))]
+        parent = np.full(g.n, -1)
+        parent[chain[1:]] = chain[:-1]
+        value = np.full(g.n, INF)
+        value[chain] = np.arange(chain.size)
+        run = SimRun(kind=PacketKind.SEARCH, source=int(chain[0]),
+                     rounds=chain.size, total_packets=chain.size,
+                     search=active_graph(g, None), local_value=value,
+                     local_parent=parent, local_tx=np.ones(g.n))
+        res = extract_path(run, int(chain[-1]), g)
+        length = 0.0
+        for a, b in zip(chain[:-1], chain[1:]):
+            length += float(np.hypot(*(pos[a] - pos[b])))
+        assert res.nodes == tuple(chain.tolist())
+        assert res.length == length
+
+
 def test_extract_path_exposure_measures():
     g, active, src = random_instance(5)
     pot = np.random.default_rng(55).random(g.n).tolist()
@@ -216,9 +240,9 @@ def test_extract_path_unreachable(tiny_graph):
 def test_extract_path_guards_against_bad_chains(tiny_graph):
     def run(parent):
         return SimRun(kind=PacketKind.SEARCH, source=0, rounds=3,
-                      total_packets=3, ids=np.arange(4),
+                      total_packets=3, search=active_graph(tiny_graph, None),
                       local_value=[0.0, 1.0, 2.0, INF], local_parent=parent,
-                      local_tx=[1, 1, 1, 0], n=4)
+                      local_tx=[1, 1, 1, 0])
 
     with pytest.raises(RuntimeError, match="broken"):
         extract_path(run([-1, -1, 1, -1]), 2, tiny_graph)

@@ -137,7 +137,9 @@ def test_adjacency_sorted_without_self_loops(graph_cache):
 def test_induced_over_every_node_shares_the_graph(graph_cache):
     g = graph_cache(256, 3.0, 3)
     mask = np.ones(g.n, dtype=bool)
-    full = g.induced(mask)
+    every = g.induced(mask)
+    assert every.ids.tolist() == list(range(g.n))
+    full = every.matrix
     assert np.shares_memory(full.indices, g.indices)
     assert np.array_equal(full.indptr, g.indptr)
     assert np.array_equal(full.indices, g.indices)
@@ -145,8 +147,8 @@ def test_induced_over_every_node_shares_the_graph(graph_cache):
     # one node out takes the general path: the other rows, relabelled to
     # local ids, must agree
     mask[7] = False
-    keep = np.flatnonzero(mask)
-    part = g.induced(mask)
+    sub = g.induced(mask)
+    part, keep = sub.matrix, sub.ids
     assert part.shape == (g.n - 1, g.n - 1)
     assert (full[keep][:, keep] != part).nnz == 0
     assert hop_distances(active_graph(g, None), 0).tolist() == \

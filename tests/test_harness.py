@@ -508,6 +508,18 @@ def test_cli_trace(scenario_file, capsys):
         assert snd != rcv
 
 
+def test_cli_trace_without_queries_fails_before_building(
+        tmp_path, capsys, monkeypatch):
+    def build_world(s):
+        raise AssertionError("built a world for a trace with no query")
+
+    monkeypatch.setattr(cli, "build_world", build_world)
+    path = tmp_path / "none.scenario"
+    save_scenario(Scenario(n=256, seed=1, queries=0), path)
+    assert cli.main(["trace", str(path)]) == 1
+    assert "trace needs a scenario with queries" in capsys.readouterr().err
+
+
 def test_cli_error_exit_codes(tmp_path, capsys, monkeypatch, scenario_file):
     assert cli.main(["run", str(tmp_path / "absent.scenario")]) == 1
     bad = tmp_path / "bad.scenario"

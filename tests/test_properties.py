@@ -17,12 +17,18 @@ table, must be the sensors within half a width of some line.  The zone
 test's bounding-box prefilter must keep every mask bit, and perimeter streets searched on a
 boundary band must equal the search on the full graph.  The attach step,
 which charges every ring of the expanding ring from one flood, must equal
-the loop of depth-capped searches on fragmented skeletons.
+the loop of depth-capped searches on fragmented skeletons.  Last, no search
+may depend on how a search graph numbers its nodes: every search, the
+floods, the oracles, component sizes, the main street component, the attach
+step and the perimeter streets, gives the same result on space-ordered
+graphs as on graphs whose members are numbered in a random order.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -40,9 +46,10 @@ from skeleton_nav.danger import _EDGE_EPS, DangerZone, points_in_region, \
     zone_node_mask
 from skeleton_nav.distsim import INF, active_graph, centralized_bfs, \
     centralized_min_exposure, extract_path, run_bfs_flood, run_min_exposure
+import skeleton_nav.field
 from skeleton_nav.field import CommGraph, SensorField, build_comm_graph, \
-    generate_field, hop_bfs, hop_distances
-from skeleton_nav.harness import fixture_zone
+    generate_field, hop_bfs, hop_distances, spread
+from skeleton_nav.harness import _main_street_component, fixture_zone
 from skeleton_nav.skeleton import Provenance, SkeletonGraph, \
     attach_offstreet_endpoints
 from skeleton_nav.uniform import UniformStreetConfig, \
@@ -561,3 +568,81 @@ def test_attach_equals_ring_loop(case):
     assert (res.packets, res.src_attached, res.dst_attached) == \
         (packets, src_ok, dst_ok)
     assert res.skeleton.awake == sk.awake | connectors
+
+
+NUMBERINGS = settings(max_examples=100, deadline=None)
+
+
+@contextmanager
+def random_numbering(seed: int):
+    """Number the members of every partial search graph built inside in a
+    random order, in place of space order."""
+    rng = np.random.default_rng(seed)
+
+    def shuffled(fld, mask):
+        return rng.permutation(np.flatnonzero(mask))
+
+    with mock.patch.object(skeleton_nav.field, "space_order", shuffled):
+        yield
+
+
+def numbered_outcomes(g, active, awake, src, dst, pot):
+    """Every search's result by node id, on search graphs built afresh."""
+    lines = []
+    runs = [run_bfs_flood(g, active, src, trace=lines.append),
+            run_min_exposure(g, active, src, pot, trace=lines.append)]
+    search = active_graph(g, active)
+    members = frozenset(np.flatnonzero(awake).tolist())
+    sk = SkeletonGraph(graph=g, awake=members,
+                       provenance=dict.fromkeys(members,
+                                                Provenance.GRID_STREET),
+                       construction="uniform",
+                       blocked=frozenset(np.flatnonzero(~active).tolist()))
+    att = attach_offstreet_endpoints(g, sk, src, dst)
+    return ([_run_fields(r) + (r.total_packets,) for r in runs], lines,
+            [extract_path(r, dst, g) for r in runs],
+            centralized_bfs(g, search, src),
+            centralized_bfs(g, search, src, target=dst),
+            centralized_min_exposure(g, search, src, pot),
+            centralized_min_exposure(g, search, src, pot, target=dst),
+            spread(search.ids, search.component_sizes, g.n, 0),
+            _main_street_component(sk),
+            (att.skeleton.awake, att.packets, att.src_attached,
+             att.dst_attached))
+
+
+@NUMBERINGS
+@given(shaped_instances(), st.sampled_from((0.2, 0.5)),
+       st.sampled_from((0, 2, 3)), st.integers(0, 2**16))
+def test_searches_do_not_depend_on_node_numbering(inst, share, ring,
+                                                  numbering):
+    # a sparse awake set falls into many equal pieces, and grids and zero
+    # potentials give many equal distances: ties everywhere
+    g, active, src, rng = inst
+    if active.all():  # the graph over every node is never renumbered
+        active[(src + 1 + int(rng.integers(g.n - 1))) % g.n] = False
+    awake = active & (rng.random(g.n) < share)
+    if ring:
+        # every street node `ring` hops from the source: the attach ring
+        # finds several equally near ones, on different chains
+        awake &= np.array(hop_bfs(g, src, ~active)[0]) == ring
+    else:
+        off = np.flatnonzero(active & ~awake)
+        if off.size:
+            src = int(rng.choice(off))  # the attach ring runs
+    if not awake.any():
+        awake[src] = True
+    dst = int(rng.choice(np.flatnonzero(active)))
+    pot = potentials(rng, g.n)
+    expect = numbered_outcomes(g, active, awake, src, dst, pot)
+    with random_numbering(numbering):
+        assert numbered_outcomes(g, active, awake, src, dst, pot) == expect
+
+
+@NUMBERINGS
+@given(perimeter_cases(), st.integers(0, 2**16))
+def test_perimeter_streets_do_not_depend_on_node_numbering(case, numbering):
+    g, zone, width = case
+    expect = build_perimeter_streets(g, zone, width)
+    with random_numbering(numbering):
+        assert build_perimeter_streets(g, zone, width) == expect
