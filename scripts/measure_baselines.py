@@ -10,8 +10,10 @@ With no --section the whole sweep runs; the gate-level sections take
 about a minute combined.  The census-scaling section builds worlds up to
 n = 2^20 and prints the process's own peak RSS; the query-scaling section
 times one query's skeleton flood and hop oracle up to n = 2^18, with the
-oracle graph's build time and the nodes its BFS reaches, and its exposure
-flood and exposure oracle at n = 2^14 and 2^16.
+nodes the oracle's BFS reaches, and its exposure flood and exposure oracle
+at n = 2^14 and 2^16.  Before the queries it times the one-off builds
+(comm graph, oracle graph, component labels) with each one's
+tracemalloc peak and the process's peak RSS after it.
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ import argparse
 import math
 import resource
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -461,11 +464,27 @@ def section_census_scaling():
               "per step " + " ".join(f"{x:.3f}" for x in local))
 
 
+def one_off(build) -> str:
+    """Time build() once, with its tracemalloc peak and the process's peak
+    RSS after it.  numpy reports its arrays to tracemalloc; arrays that
+    scipy allocates in C++ (the k-d tree's pairs) escape it."""
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    build()
+    seconds = time.perf_counter() - t0
+    traced = tracemalloc.get_traced_memory()[1] / 2**20
+    tracemalloc.stop()
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    return (f"{seconds * 1e3:.1f} ms, traced peak {traced:.1f} MB, "
+            f"peak RSS {rss:.0f} MB")
+
+
 def section_query_scaling():
     print("== per-query search cost, path-region construction, "
           "n = 2^14, 2^16, 2^18, 20 snapped queries ==")
     # complex zone, adaptive skeleton, default width; each figure is the
-    # median of three calls per query, averaged over the queries
+    # median of three calls per query, averaged over the queries.  The
+    # one-off builds run first, in a world whose graph is not yet built.
     def per_query_ms(fn, pairs):
         runs = []
         for a, b in pairs:
@@ -482,11 +501,12 @@ def section_query_scaling():
                      skeleton="adaptive", queries=20, query_seed=2,
                      metrics=("path",))
         world = build_world(s)
+        g = world.graph
+        print(f"n=2^{k}: comm graph {one_off(lambda: g.indices)}; "
+              f"oracle graph {one_off(lambda: world.oracle)}; "
+              f"labels {one_off(lambda: world.oracle.component_sizes)}")
         pairs = sample_queries(world)
-        g, search = world.graph, world.skeleton.search
-        t0 = time.perf_counter()
-        oracle = world.oracle  # built on first use, so timed here
-        build = time.perf_counter() - t0
+        search, oracle = world.skeleton.search, world.oracle
         reached = np.mean([oracle.component_sizes[oracle.index(a)]
                            for a, _ in pairs])
         flood = per_query_ms(lambda a, b: run_bfs_flood(g, search, a), pairs)
@@ -495,8 +515,8 @@ def section_query_scaling():
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         print(f"n=2^{k}: awake {world.skeleton.size}, skeleton flood "
               f"{flood:.3f} ms, hop oracle {hops:.3f} ms per query; oracle "
-              f"graph built once in {build * 1e3:.2f} ms, its BFS reaches "
-              f"{reached:.0f} nodes; peak RSS so far {peak:.0f} MB")
+              f"BFS reaches {reached:.0f} nodes; peak RSS so far "
+              f"{peak:.0f} MB")
         del world, g, search, oracle
 
     print("== per-query exposure search cost, exposure-points construction, "

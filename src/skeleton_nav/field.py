@@ -8,7 +8,9 @@ triple regenerates the identical field bit for bit.
 
 The graph is stored as CSR arrays, built the first time a neighbour is
 asked for: a world whose skeleton needs only positions (a size census) never
-builds them.  Every hop search runs on scipy's `csgraph` over an
+builds them.  The build sorts its row-column keys in the k-d tree's own
+pair buffer, so it holds little beyond the pairs and the finished arrays.
+Every hop search runs on scipy's `csgraph` over an
 `ActiveGraph`, which relabels a node set of k nodes to local ids 0..k-1 and
 holds its k x k induced matrix, built once from the members' CSR rows and
 reused.  A search over it takes and returns local ids and allocates k-length
@@ -17,8 +19,10 @@ skeleton, not to n.  `hop_distances` reads hop depths off one
 `breadth_first_order`, and `lowest_parents` gives each reached node its
 lowest-id neighbour one level up, the parent a synchronous flood gives.
 Searches from several sources or to a capped depth (perimeter streets) are
-one `dijkstra` call on the same matrix.  Callers that need a table over all
-n nodes spread the local one once.
+one `dijkstra` call on the same matrix.  Every search graph is symmetric,
+being induced from the undirected comm graph, so its connected components
+are found as strong components, on the matrix as it is.  Callers that need
+a table over all n nodes spread the local one once.
 
 Node order: over part of the network, local ids follow space order (strips
 one radio range high, by x within a strip), so a search that sweeps the
@@ -178,13 +182,18 @@ def space_order(field: SensorField, mask: np.ndarray) -> np.ndarray:
     """The ids of the nodes in mask in space order.
 
     Strips one radio range high run bottom to top, and each strip runs by
-    x; a stable sort leaves equal keys in node-id order.  A node's
+    x; stable sorts leave equal keys in node-id order.  A node's
     neighbours then sit in its own strip or the next one, so their rows lie
-    near its own.
+    near its own.  The ids are sorted by x, then by strip: a 16-bit strip
+    index, whenever the strip count fits, sorts by radix.
     """
     ids = np.flatnonzero(mask)
     x, y = field.positions[ids].T
-    return ids[np.lexsort((x, np.floor(y / field.radio_range)))]
+    by_x = np.argsort(x, kind="stable")
+    ids, strip = ids[by_x], np.floor(y[by_x] / field.radio_range)
+    if math.ceil(field.side / field.radio_range) <= np.iinfo(np.int16).max:
+        strip = strip.astype(np.int16)
+    return ids[np.argsort(strip, kind="stable")]
 
 
 def row_runs(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray
@@ -202,21 +211,22 @@ def _csr_arrays(field: SensorField) -> tuple[np.ndarray, np.ndarray]:
 
     A k-d tree finds the pairs; the result is identical to the quadratic
     all-pairs check.  Each pair becomes two directed entries, sorted by
-    (row, column) through one int64 key array that is filled, sorted and
-    reduced to columns in place, so the build holds little beyond the
-    pairs and the keys.
+    (row, column) as int64 keys.  The keys are built in the tree's own
+    (m, 2) pair buffer, viewed as 2m flat keys: pair (i, j) is rewritten
+    in place as i * n + j and j * n + i, with a copy of the m first ids as
+    the only temporary, then sorted and reduced to columns in that buffer.
     """
     n = field.n
     pairs = cKDTree(field.positions).query_pairs(field.radio_range,
                                                  output_type="ndarray")
-    m = len(pairs)
-    key = np.empty(2 * m, dtype=np.int64)
-    forward, backward = key[:m], key[m:]  # i * n + j, then j * n + i
-    np.multiply(pairs[:, 0], n, out=forward)
-    forward += pairs[:, 1]
-    np.multiply(pairs[:, 1], n, out=backward)
-    backward += pairs[:, 0]
-    del pairs, forward, backward
+    key = pairs.reshape(-1)  # a view: i0, j0, i1, j1, ...
+    first, second = pairs[:, 0], pairs[:, 1]
+    i = first.copy()
+    np.multiply(first, n, out=first)
+    first += second  # i * n + j
+    np.multiply(second, n, out=second)
+    second += i  # j * n + i
+    del i  # freed before the int32 columns are made
     key.sort()
     indptr = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) * n)
     np.remainder(key, n, out=key)
@@ -267,8 +277,15 @@ class ActiveGraph:
 
     @cached_property
     def component_labels(self) -> np.ndarray:
-        """Per local id, the label of its connected component."""
-        return connected_components(self.matrix, directed=False)[1]
+        """Per local id, the label of its connected component.
+
+        Every search graph is induced from the symmetric comm graph, so its
+        strong components are its connected components.  csgraph finds
+        them on the matrix as it is (Pearce's algorithm, k-length state);
+        ``directed=False`` would first build a transposed, weighted copy.
+        """
+        return connected_components(self.matrix, directed=True,
+                                    connection="strong")[1]
 
     @cached_property
     def component_sizes(self) -> np.ndarray:

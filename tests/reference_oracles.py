@@ -22,7 +22,10 @@ uniform grid line, where the package bins coordinates and brackets the
 few near a line.  `reference_points_in_region` is
 the zone test over every point, before the bounding-box prefilter, and
 `reference_perimeter_streets` the perimeter search over the full graph,
-before the boundary band.
+before the boundary band.  `reference_csr` is the comm graph from every
+pairwise distance, `reference_space_order` the space order as one
+`lexsort`, and `reference_component_labels` csgraph's undirected
+labelling, which builds a transposed copy of the matrix.
 """
 
 from __future__ import annotations
@@ -33,12 +36,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from skeleton_nav.adaptive import _pow2_side, rasterize_region
 from skeleton_nav.danger import _EDGE_EPS, DangerZone, boundary_nodes, \
     zone_node_mask
-from skeleton_nav.field import CommGraph, NodeId
+from skeleton_nav.field import ActiveGraph, CommGraph, NodeId, SensorField
 
 INF = math.inf
 
@@ -452,3 +455,26 @@ def reference_perimeter_streets(graph: CommGraph, zone: DangerZone,
     outside = ~zone_node_mask(zone, graph.field.positions)
     dist, _ = reference_bfs(graph, base, outside, math.ceil(width))
     return frozenset(v for v, d in enumerate(dist) if d != INF)
+
+
+def reference_csr(field: SensorField) -> tuple[np.ndarray, np.ndarray]:
+    """CSR rows from every pairwise distance: row u lists each other node
+    within radio range (inclusive), ascending."""
+    pos = field.positions
+    d = np.hypot(pos[:, None, 0] - pos[None, :, 0],
+                 pos[:, None, 1] - pos[None, :, 1])
+    near = (d <= field.radio_range) & ~np.eye(field.n, dtype=bool)
+    indptr = np.concatenate(([0], np.cumsum(near.sum(axis=1))))
+    return indptr, np.nonzero(near)[1]
+
+
+def reference_space_order(field: SensorField, mask: np.ndarray) -> np.ndarray:
+    """Ids in mask by strip one radio range high, then by x, then by id."""
+    ids = np.flatnonzero(mask)
+    x, y = field.positions[ids].T
+    return ids[np.lexsort((x, np.floor(y / field.radio_range)))]
+
+
+def reference_component_labels(search: ActiveGraph) -> np.ndarray:
+    """Per local id, its connected component's label, found undirected."""
+    return connected_components(search.matrix, directed=False)[1]

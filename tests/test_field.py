@@ -1,18 +1,23 @@
 """Field generation and communication graph tests.
 
-The adjacency oracle is the quadratic all-pairs distance check; BFS is
-checked against scipy's unweighted shortest_path on the same adjacency.
+The adjacency oracle is the quadratic all-pairs distance check
+(`reference_csr`); BFS is checked against scipy's unweighted shortest_path
+on the same adjacency.
+Two memory guards bound what the CSR build and the component labelling
+allocate, as tracemalloc sees it.
 """
 
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
+from reference_oracles import reference_csr
 from skeleton_nav.field import (
     CommGraph,
     SensorField,
@@ -25,17 +30,6 @@ from skeleton_nav.field import (
 )
 
 INF = math.inf
-
-
-def brute_adjacency(field: SensorField) -> tuple[tuple[int, ...], ...]:
-    """All-pairs oracle: edge iff Euclidean distance <= radio range."""
-    diff = field.positions[:, None, :] - field.positions[None, :, :]
-    d = np.hypot(diff[..., 0], diff[..., 1])
-    lists = []
-    for i in range(field.n):
-        near = np.flatnonzero(d[i] <= field.radio_range)
-        lists.append(tuple(int(v) for v in near if v != i))
-    return tuple(lists)
 
 
 def scipy_hops(graph: CommGraph, source: int, keep=None) -> list[float]:
@@ -114,7 +108,9 @@ def test_adjacency_matches_allpairs_oracle():
         n = int(rng.integers(16, 257))
         f = generate_field(n, 3.0, seed)
         g = build_comm_graph(f)
-        assert g.adj == brute_adjacency(f), f"adjacency mismatch at seed {seed}"
+        indptr, indices = reference_csr(f)
+        assert np.array_equal(g.indptr, indptr) and \
+            np.array_equal(g.indices, indices), f"CSR mismatch at seed {seed}"
 
 
 def test_exact_range_edge_is_included():
@@ -153,6 +149,36 @@ def test_induced_over_every_node_shares_the_graph(graph_cache):
     assert (full[keep][:, keep] != part).nnz == 0
     assert hop_distances(active_graph(g, None), 0).tolist() == \
         scipy_hops(g, 0)
+
+
+def traced_peak(read) -> int:
+    """Peak bytes traced by tracemalloc while read() runs, above the start."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        read()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+# numpy reports its allocations to tracemalloc, but the k-d tree's own pair
+# array is allocated outside its view, so these guards measure the
+# package's numpy temporaries.  A key array beside the pairs, or the
+# transposed copy that undirected labelling makes, would fail them.
+def test_csr_build_peaks_at_its_own_arrays():
+    g = build_comm_graph(generate_field(4096, 3.0, 5))
+    peak = traced_peak(lambda: g.indices)
+    assert peak <= 1.25 * (g.indices.nbytes + g.indptr.nbytes)
+
+
+def test_component_labels_make_no_matrix_copy():
+    g = build_comm_graph(generate_field(4096, 3.0, 5))
+    mask = np.random.default_rng(5).random(g.n) < 0.8
+    for search in (g.induced(np.ones(g.n, dtype=bool)), g.induced(mask)):
+        peak = traced_peak(lambda: search.component_labels)
+        assert peak <= 32 * search.ids.size
 
 
 def test_hop_bfs_matches_scipy_oracle():

@@ -21,7 +21,12 @@ the loop of depth-capped searches on fragmented skeletons.  Last, no search
 may depend on how a search graph numbers its nodes: every search, the
 floods, the oracles, component sizes, the main street component, the attach
 step and the perimeter streets, gives the same result on space-ordered
-graphs as on graphs whose members are numbered in a random order.
+graphs as on graphs whose members are numbered in a random order.  The
+CSR build must equal every pairwise distance, pairs exactly one radio range
+apart and ranges that hold no pair included; the space order, two stable
+sorts, must equal one `lexsort` where x values repeat and y values sit on
+strip boundaries; and component labels found as strong components must
+give the partition and sizes of csgraph's undirected labelling.
 """
 
 from __future__ import annotations
@@ -31,16 +36,17 @@ from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from reference_oracles import centralized_bfs as reference_centralized_bfs
 from reference_oracles import centralized_min_exposure as \
     reference_min_exposure
 from reference_oracles import reference_adaptive_awake, reference_attach, \
     reference_bfs, \
-    reference_bfs_flood, reference_grid_streets, reference_leaf_at, \
+    reference_bfs_flood, reference_component_labels, reference_csr, \
+    reference_grid_streets, reference_leaf_at, \
     reference_min_exposure_flood, reference_perimeter_streets, \
-    reference_points_in_region, reference_quadtree
+    reference_points_in_region, reference_quadtree, reference_space_order
 from skeleton_nav.adaptive import build_adaptive_skeleton, build_quadtree
 from skeleton_nav.danger import _EDGE_EPS, DangerZone, points_in_region, \
     zone_node_mask
@@ -48,7 +54,7 @@ from skeleton_nav.distsim import INF, active_graph, centralized_bfs, \
     centralized_min_exposure, extract_path, run_bfs_flood, run_min_exposure
 import skeleton_nav.field
 from skeleton_nav.field import CommGraph, SensorField, build_comm_graph, \
-    generate_field, hop_bfs, hop_distances, spread
+    generate_field, hop_bfs, hop_distances, space_order, spread
 from skeleton_nav.harness import _main_street_component, fixture_zone
 from skeleton_nav.skeleton import Provenance, SkeletonGraph, \
     attach_offstreet_endpoints
@@ -646,3 +652,95 @@ def test_perimeter_streets_do_not_depend_on_node_numbering(case, numbering):
     expect = build_perimeter_streets(g, zone, width)
     with random_numbering(numbering):
         assert build_perimeter_streets(g, zone, width) == expect
+
+
+BUILDS = settings(max_examples=100, deadline=None)
+
+
+@st.composite
+def csr_fields(draw):
+    """Uniform fields, integer lattices with coincident nodes and many
+    pairs exactly one radio range apart, and ranges too short for any
+    pair."""
+    seed = draw(st.integers(0, 2**16))
+    n = draw(st.integers(4, 150))
+    kind = draw(st.sampled_from(("uniform", "lattice", "apart")))
+    if kind == "lattice":
+        pos = np.random.default_rng(seed).integers(
+            0, math.isqrt(n) + 1, size=(n, 2)).astype(np.float64)
+        return SensorField(n=n, side=float(pos.max()) + 1.0,
+                           radio_range=draw(st.sampled_from((1.0, 2.0, 5.0))),
+                           seed=seed, positions=pos)
+    r = draw(st.sampled_from((0.8, 1.5, 3.0))) if kind == "uniform" else 1e-9
+    return generate_field(n, r, seed)
+
+
+@BUILDS
+@given(csr_fields())
+@example(generate_field(4, 1e-9, 0))  # no pair in range
+@example(SensorField(n=4, side=9.0, radio_range=5.0, seed=0,  # 3-4-5 apart
+                     positions=np.array([[0.0, 0.0], [3.0, 4.0], [5.0, 0.0],
+                                         [8.0, 4.0]])))
+def test_csr_equals_all_pairs_reference(fld):
+    g = CommGraph(field=fld)
+    indptr, indices = reference_csr(fld)
+    assert (g.indptr.dtype, g.indices.dtype) == (np.int64, np.int32)
+    assert np.array_equal(g.indptr, indptr)
+    assert np.array_equal(g.indices, indices)
+
+
+@st.composite
+def order_cases(draw):
+    """Fields whose x values repeat and whose y values sit exactly on strip
+    boundaries, with a member mask; the shortest range makes more strips
+    than a 16-bit index holds."""
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    n = draw(st.integers(4, 300))
+    r = draw(st.sampled_from((0.7, 1.0, 1.5, 3.0, 1e-4)))
+    fld = generate_field(n, r, seed)
+    x, y = fld.positions.T.copy()
+    dup = rng.random(n) < 0.3
+    x[dup] = rng.choice(x, size=np.count_nonzero(dup))
+    edge = rng.random(n) < 0.3
+    y[edge] = r * rng.integers(0, math.ceil(fld.side / r),
+                               size=np.count_nonzero(edge))
+    mask = rng.random(n) < draw(st.sampled_from((0.5, 6 / 7, 1.0)))
+    return SensorField(n=n, side=fld.side, radio_range=r, seed=seed,
+                       positions=np.column_stack((x, y))), mask
+
+
+@BUILDS
+@given(order_cases())
+def test_space_order_equals_lexsort(case):
+    fld, mask = case
+    assert np.array_equal(space_order(fld, mask),
+                          reference_space_order(fld, mask))
+
+
+@st.composite
+def label_cases(draw):
+    """A comm graph and a member mask: drawn, every node or one node."""
+    seed = draw(st.integers(0, 2**16))
+    n = draw(st.integers(4, 150))
+    g = build_comm_graph(generate_field(
+        n, draw(st.sampled_from((0.8, 1.2, 2.0, 3.0))), seed))
+    rng = np.random.default_rng(seed)
+    kind = draw(st.sampled_from(("drawn", "every", "one")))
+    if kind == "every":
+        return g, np.ones(n, dtype=bool)
+    if kind == "one":
+        return g, np.arange(n) == rng.integers(n)
+    return g, rng.random(n) < draw(st.sampled_from((0.3, 0.6, 0.9)))
+
+
+@BUILDS
+@given(label_cases())
+def test_component_labels_equal_the_undirected_reference(case):
+    g, mask = case
+    search = g.induced(mask)
+    labels, ref = search.component_labels, reference_component_labels(search)
+    # the same partition: the label pairs match one to one
+    matched = np.unique(np.column_stack((labels, ref)), axis=0)
+    assert len(matched) == len(np.unique(labels)) == len(np.unique(ref))
+    assert np.array_equal(search.component_sizes, np.bincount(ref)[ref])
