@@ -368,6 +368,11 @@ def simulate_cluster_retirement(graph: CommGraph, zone: DangerZone | None,
     return RetirementResult(messages=messages, awake=frozenset(awake))
 
 
+#: A band holding this share of the active nodes or more is degenerate: its
+#: streets would wake nearly the whole network.
+DEGENERATE_FRACTION = 0.8
+
+
 @dataclass(frozen=True)
 class VoronoiBand:
     nodes: frozenset[NodeId]
@@ -375,12 +380,13 @@ class VoronoiBand:
 
 
 def detect_voronoi_nodes(graph: CommGraph, sources, active=None,
-                         distance_tables=None, max_gap: int = 1,
-                         degenerate_fraction: float = 0.8) -> VoronoiBand:
+                         distance_tables=None, max_gap: int = 1
+                         ) -> VoronoiBand:
     """Sensors whose two closest danger points are within max_gap hops.
 
     Needs at least two sources.  Duplicate (collocated) sources make nearly
-    every sensor equidistant; such a band is flagged degenerate.  Given
+    every sensor equidistant; such a band, DEGENERATE_FRACTION of the
+    active nodes or more, is flagged degenerate.  Given
     `distance_tables` (per source, hop distances by node id), none is run.
     """
     search = active_graph(graph, active)
@@ -399,7 +405,7 @@ def detect_voronoi_nodes(graph: CommGraph, sources, active=None,
     # each node's two smallest hop distances over all sources
     d0, d1 = np.sort(np.asarray(hops), axis=0)[:2]
     band = ids[np.isfinite(d1) & (d1 <= d0 + max_gap)]
-    degenerate = ids.size > 0 and band.size >= degenerate_fraction * ids.size
+    degenerate = ids.size > 0 and band.size >= DEGENERATE_FRACTION * ids.size
     return VoronoiBand(nodes=frozenset(band.tolist()), degenerate=degenerate)
 
 

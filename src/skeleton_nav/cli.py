@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .distsim import run_bfs_flood
 from .harness import InvariantViolation, ScenarioError, build_world, \
@@ -53,18 +54,10 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def _load(args):
-    from dataclasses import replace
-
     s = load_scenario(args.scenario)
-    overrides = {}
-    if args.epsilon is not None:
-        overrides["epsilon"] = args.epsilon
-    if args.width is not None:
-        overrides["width"] = args.width
-    if args.shift is not None:
-        overrides["shift"] = args.shift
-    if args.prune:
-        overrides["prune"] = True
+    overrides = {name: getattr(args, name)
+                 for name in ("epsilon", "width", "shift", "prune")
+                 if getattr(args, name) is not None}
     if overrides:
         s = replace(s, **overrides)
         s.validate()

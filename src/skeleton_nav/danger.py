@@ -117,43 +117,12 @@ def _self_intersects(verts: np.ndarray) -> bool:
     return False
 
 
-def _on_boundary(verts: np.ndarray, x: float, y: float) -> bool:
-    m = len(verts)
-    for i in range(m):
-        x1, y1 = verts[i]
-        x2, y2 = verts[(i + 1) % m]
-        cross = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)
-        seg2 = (x2 - x1) ** 2 + (y2 - y1) ** 2
-        if cross * cross > _EDGE_EPS * seg2:
-            continue
-        dot = (x - x1) * (x2 - x1) + (y - y1) * (y2 - y1)
-        if -_EDGE_EPS <= dot <= seg2 + _EDGE_EPS:
-            return True
-    return False
-
-
 def node_in_zone(zone: DangerZone, point: tuple[float, float]) -> bool:
     """Is the point inside the region (boundary counts as inside)?
 
-    Only meaningful for region zones; point zones have no inside.
+    One point through `points_in_region`; point zones have no inside.
     """
-    if zone.kind != "region":
-        raise ValueError("point-set zones have no interior")
-    x, y = float(point[0]), float(point[1])
-    if _on_boundary(zone.vertices, x, y):
-        return True
-    # even-odd ray crossing, horizontal ray to +x
-    inside = False
-    verts = zone.vertices
-    m = len(verts)
-    for i in range(m):
-        x1, y1 = verts[i]
-        x2, y2 = verts[(i + 1) % m]
-        if (y1 > y) != (y2 > y):
-            xi = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-            if x < xi:
-                inside = not inside
-    return inside
+    return bool(points_in_region(zone, np.array([point], dtype=np.float64))[0])
 
 
 def boundary_tolerance(zone: DangerZone) -> float:

@@ -125,13 +125,15 @@ class PathResult:
     packets: int                 # transmissions spent by the search
 
 
-def _search_graph(graph: CommGraph, active, source: NodeId
-                  ) -> tuple[ActiveGraph, int]:
+def _search_graph(graph: CommGraph, active, source: NodeId,
+                  target: NodeId | None = None) -> tuple[ActiveGraph, int]:
     """The search input as an `ActiveGraph` and the source's local id; the
-    source must be active."""
+    source must be active, and a target, if given, a node."""
     active = active_graph(graph, active)
     if not (0 <= source < graph.n and active.mask[source]):
         raise ValueError(f"source {source} is not active")
+    if target is not None and not 0 <= target < graph.n:
+        raise ValueError(f"target {target} is not a node")
     return active, active.index(source)
 
 
@@ -307,7 +309,7 @@ def centralized_bfs(graph: CommGraph, active, source: NodeId, *,
     unreached), read off the BFS predecessor chain one hop per step, with
     no per-level depth recovery and no list.
     """
-    search, s = _search_graph(graph, active, source)
+    search, s = _search_graph(graph, active, source, target)
     if target is None:
         return spread(search.ids, hop_distances(search, s), graph.n, INF)
     if not search.mask[target]:
@@ -346,7 +348,7 @@ def centralized_min_exposure(graph: CommGraph, active, source: NodeId,
     the search at that exposure: nodes within it keep their exact values,
     and the others read inf.
     """
-    search, s = _search_graph(graph, active, source)
+    search, s = _search_graph(graph, active, source, target)
     mat = search.matrix
     pot = np.asarray(potentials, dtype=np.float64)[search.ids]
     data = pot.take(mat.indices)  # faster than fancy indexing by int32

@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property, lru_cache
 from importlib import resources
+from numbers import Real
 
 import numpy as np
 
-from .danger import DangerZone, PotentialModel, ZoneSpec, node_in_zone, \
-    parse_zone, zone_node_mask
+from .danger import DangerZone, PotentialModel, ZoneSpec, parse_zone, \
+    points_in_region, zone_node_mask
 from .field import ActiveGraph, CommGraph, SensorField, active_graph, \
     build_comm_graph, generate_field, nearest_node
 from .skeleton import Provenance, SkeletonGraph, attach_offstreet_endpoints, \
@@ -65,8 +66,8 @@ class Scenario:
     zone_kind: str = "none"
     danger_count: int = 3          # points zones only
     danger_seed: int = 0
-    beta: float | None = None      # None -> zone fixture default
-    clamp_radius: float | None = None
+    beta: float | None = None      # points zones only; None -> 2.0
+    clamp_radius: float | None = None  # points zones only; None -> 1.0
     skeleton: str = "full"
     epsilon: float = 0.05          # uniform only
     width: float | None = None     # None -> default_street_width(r)
@@ -80,11 +81,9 @@ class Scenario:
     entity_budget_divisor: float = 4.0
 
     def validate(self) -> None:
-        for name in ("radio_range", "beta", "clamp_radius", "epsilon",
-                     "width", "shift", "min_pair_distance",
-                     "entity_budget_divisor"):
+        for name, *_ in _SCHEMA:
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if isinstance(value, Real) and not math.isfinite(value):
                 raise ScenarioError(f"{name} must be finite, got {value!r}")
         if self.entity_budget_divisor <= 0:
             raise ScenarioError("entity budget divisor must be positive")
@@ -127,33 +126,22 @@ class Scenario:
 
     def canonical_text(self) -> str:
         """Stable serialization; also the hashing preimage."""
-        lines = [
-            f"n {self.n}",
-            f"r {_fmt(self.radio_range)}",
-            f"seed {self.seed}",
-            f"zone {self.zone_kind}",
-            f"danger_count {self.danger_count}",
-            f"danger_seed {self.danger_seed}",
-            f"beta {_fmt_opt(self.beta)}",
-            f"clamp {_fmt_opt(self.clamp_radius)}",
-            f"skeleton {self.skeleton}",
-            f"epsilon {_fmt(self.epsilon)}",
-            f"width {_fmt_opt(self.width)}",
-            f"shift {_fmt(self.shift)}",
-            f"prune {int(self.prune)}",
-            f"voronoi {int(self.voronoi)}",
-            f"queries {self.queries}",
-            f"query_seed {self.query_seed}",
-            f"min_pair_distance {_fmt(self.min_pair_distance)}",
-            f"metrics {','.join(self.metrics)}",
-            f"entity_budget_divisor {_fmt(self.entity_budget_divisor)}",
-        ]
-        return "\n".join(lines) + "\n"
+        return "".join(f"{key} {fmt(getattr(self, name))}\n"
+                       for name, key, _, fmt in _SCHEMA)
 
-    @property
+    @cached_property
     def digest(self) -> str:
         h = hashlib.sha256(self.canonical_text().encode("ascii"))
         return h.hexdigest()[:12]
+
+
+#: File key of each Scenario field, in field order, which is also the line
+#: order of `Scenario.canonical_text`.
+SCENARIO_KEYS = (
+    "n", "r", "seed", "zone", "danger_count", "danger_seed", "beta", "clamp",
+    "skeleton", "epsilon", "width", "shift", "prune", "voronoi", "queries",
+    "query_seed", "min_pair_distance", "metrics", "entity_budget_divisor",
+)
 
 
 def _fmt(x: float) -> str:
@@ -161,8 +149,27 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _fmt_opt(x: float | None) -> str:
-    return "default" if x is None else _fmt(x)
+def _flag(text: str) -> bool:
+    if text not in ("0", "1"):
+        raise ScenarioError(f"flag must be 0 or 1, got {text!r}")
+    return text == "1"
+
+
+#: Parser and formatter of each field type, by its annotation.
+_CODECS = {
+    "int": (int, str),
+    "float": (float, _fmt),
+    "float | None": (lambda text: None if text == "default" else float(text),
+                     lambda x: "default" if x is None else _fmt(x)),
+    "str": (str, str),
+    "bool": (_flag, lambda x: str(int(x))),
+    "tuple[str, ...]": (lambda text: tuple(text.split(",")), ",".join),
+}
+
+#: (field name, file key, parser, formatter) of each Scenario field.
+_SCHEMA = tuple(
+    (f.name, key, *_CODECS[f.type])
+    for f, key in zip(fields(Scenario), SCENARIO_KEYS, strict=True))
 
 
 def save_scenario(s: Scenario, path) -> None:
@@ -177,7 +184,7 @@ def load_scenario(path) -> Scenario:
 
 
 def parse_scenario(text: str) -> Scenario:
-    fields: dict[str, str] = {}
+    given: dict[str, str] = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -185,51 +192,17 @@ def parse_scenario(text: str) -> Scenario:
         parts = line.split(None, 1)
         if len(parts) != 2:
             raise ScenarioError(f"bad scenario line: {raw!r}")
-        if parts[0] in fields:
+        if parts[0] in given:
             raise ScenarioError(f"duplicate scenario key {parts[0]!r}")
-        fields[parts[0]] = parts[1].strip()
+        given[parts[0]] = parts[1].strip()
 
-    optional = {"beta", "clamp", "width"}
-
-    def take(key, conv, default):
-        if key not in fields:
-            return default
-        val = fields.pop(key)
-        if val == "default" and key in optional:
-            return None
-        return conv(val)
-
-    s = Scenario(
-        n=take("n", int, 1024),
-        radio_range=take("r", float, 3.0),
-        seed=take("seed", int, 0),
-        zone_kind=take("zone", str, "none"),
-        danger_count=take("danger_count", int, 3),
-        danger_seed=take("danger_seed", int, 0),
-        beta=take("beta", float, None),
-        clamp_radius=take("clamp", float, None),
-        skeleton=take("skeleton", str, "full"),
-        epsilon=take("epsilon", float, 0.05),
-        width=take("width", float, None),
-        shift=take("shift", float, 0.0),
-        prune=take("prune", _flag, False),
-        voronoi=take("voronoi", _flag, False),
-        queries=take("queries", int, 0),
-        query_seed=take("query_seed", int, 0),
-        min_pair_distance=take("min_pair_distance", float, 0.0),
-        metrics=tuple(take("metrics", str, "path").split(",")),
-        entity_budget_divisor=take("entity_budget_divisor", float, 4.0),
-    )
-    if fields:
-        raise ScenarioError(f"unknown scenario keys: {sorted(fields)}")
+    values = {name: parse(given.pop(key))
+              for name, key, parse, _ in _SCHEMA if key in given}
+    if given:
+        raise ScenarioError(f"unknown scenario keys: {sorted(given)}")
+    s = Scenario(**values)
     s.validate()
     return s
-
-
-def _flag(text: str) -> bool:
-    if text not in ("0", "1"):
-        raise ScenarioError(f"flag must be 0 or 1, got {text!r}")
-    return text == "1"
 
 
 @lru_cache(maxsize=None)
@@ -329,7 +302,7 @@ def build_world(s: Scenario) -> World:
     """Field, graph, zone, skeleton, and (if needed) the potential field.
 
     Raises ScenarioError when the Voronoi band comes out degenerate, or
-    when a sparse construction wakes every active node.
+    when a sparse construction wakes every active node or none.
     """
     s.validate()
     f = generate_field(s.n, s.radio_range, s.seed)
@@ -374,13 +347,17 @@ def build_world(s: Scenario) -> World:
                     "would wake nearly the whole network")
             sk = embed_voronoi_streets(sk, band)
     active_count = np.count_nonzero(outside)
-    if s.skeleton != "full" and 0 < active_count == sk.size:
+    if s.skeleton != "full" and active_count and sk.size in (0, active_count):
         width = default_street_width(s.radio_range) if s.width is None \
             else s.width
+        if sk.size:
+            raise ScenarioError(
+                f"the {s.skeleton} skeleton wakes all {active_count} active "
+                f"nodes (street width {width:g}), so it is no sparser than "
+                "the full network; narrow the streets")
         raise ScenarioError(
-            f"the {s.skeleton} skeleton wakes all {active_count} active "
-            f"nodes (street width {width:g}), so it is no sparser than the "
-            "full network; narrow the streets")
+            f"the {s.skeleton} skeleton (street width {width:g}) wakes none "
+            f"of the {active_count} active nodes; widen the streets")
     if oracle is not None:
         sk.active = oracle  # fills the cached property
     return World(scenario=s, field=f, graph=g, zone=zone, active=outside,
@@ -421,6 +398,7 @@ def sample_queries(world: World) -> list[tuple[int, int]]:
     cand = np.asarray(_main_street_component(world.skeleton))
     zone = world.zone
     side = world.field.side
+    region = zone is not None and zone.kind == "region"
     pairs: list[tuple[int, int]] = []
     resampled = 0
 
@@ -431,18 +409,24 @@ def sample_queries(world: World) -> list[tuple[int, int]]:
             raise ScenarioError(f"gave up after {resampled} rejected draws "
                                 f"with {len(pairs)} of {s.queries} pairs")
 
-    def draw_point() -> tuple[float, float]:
+    def outside_points():
+        # a draw is the points the missing pairs need at least, tested in
+        # one call; used in order, it reads the stream point by point
         while True:
-            x, y = rng.uniform(0.0, side, size=2)
-            if zone is not None and zone.kind == "region" and \
-                    node_in_zone(zone, (x, y)):
-                reject()
-                continue
-            return float(x), float(y)
+            pts = rng.uniform(0.0, side, size=(2 * (s.queries - len(pairs)),
+                                               2))
+            inside = points_in_region(zone, pts).tolist() if region \
+                else [False] * len(pts)
+            for pt, bad in zip(pts.tolist(), inside):
+                if bad:
+                    reject()
+                else:
+                    yield pt
 
+    points = outside_points()
     while len(pairs) < s.queries:
-        p = draw_point()
-        q = draw_point()
+        p = next(points)
+        q = next(points)
         if math.hypot(p[0] - q[0], p[1] - q[1]) < s.min_pair_distance:
             reject()
             continue

@@ -104,6 +104,8 @@ def attach_offstreet_endpoints(graph: CommGraph, sk: SkeletonGraph,
     off-street destination is served by flooding its enclosing street cell,
     so every node of that cell joins.  On-street endpoints cost nothing.
     """
+    if not 0 <= dst < graph.n:
+        raise ValueError(f"destination {dst} is not a node")
     packets = 0
     connectors: set[NodeId] = set()
     src_ok = True

@@ -20,7 +20,9 @@ it, as the package once did per sensor, with the field border as a
 street.  `reference_grid_streets` measures each sensor's distance to every
 uniform grid line, where the package bins coordinates and brackets the
 few near a line.  `reference_points_in_region` is
-the zone test over every point, before the bounding-box prefilter, and
+the zone test over every point, before the bounding-box prefilter;
+`reference_sample_queries` draws query points one at a time and tests each
+alone with it, as the package did before it tested a whole draw at once.
 `reference_perimeter_streets` the perimeter search over the full graph,
 before the boundary band.  `reference_csr` is the comm graph from every
 pairwise distance, `reference_space_order` the space order as one
@@ -41,7 +43,10 @@ from scipy.sparse.csgraph import breadth_first_order, connected_components
 from skeleton_nav.adaptive import _pow2_side, rasterize_region
 from skeleton_nav.danger import _EDGE_EPS, DangerZone, boundary_nodes, \
     zone_node_mask
-from skeleton_nav.field import ActiveGraph, CommGraph, NodeId, SensorField
+from skeleton_nav.field import ActiveGraph, CommGraph, NodeId, \
+    SensorField, nearest_node
+from skeleton_nav.harness import ScenarioError, World, \
+    _main_street_component
 
 INF = math.inf
 
@@ -446,6 +451,50 @@ def reference_points_in_region(zone: DangerZone, pts: np.ndarray) -> np.ndarray:
         on_edge |= (cross * cross <= _EDGE_EPS * seg2) & \
                    (dot >= -_EDGE_EPS) & (dot <= seg2 + _EDGE_EPS)
     return inside | on_edge
+
+
+def reference_sample_queries(world: World
+                             ) -> tuple[list[tuple[int, int]], int]:
+    """Query pairs and the resample count, drawing one point at a time.
+
+    The world is left as it is; the rules are `sample_queries`' own.
+    """
+    s = world.scenario
+    rng = np.random.default_rng(s.query_seed)
+    cand = np.asarray(_main_street_component(world.skeleton))
+    zone = world.zone
+    region = zone is not None and zone.kind == "region"
+    pairs: list[tuple[int, int]] = []
+    resampled = 0
+
+    def reject() -> None:
+        nonlocal resampled
+        resampled += 1
+        if resampled > 1000 * s.queries:
+            raise ScenarioError(f"gave up after {resampled} rejected draws "
+                                f"with {len(pairs)} of {s.queries} pairs")
+
+    def draw_point() -> tuple[float, float]:
+        while True:
+            pt = rng.uniform(0.0, world.field.side, size=2)
+            if region and reference_points_in_region(zone, pt[None])[0]:
+                reject()
+                continue
+            return float(pt[0]), float(pt[1])
+
+    while len(pairs) < s.queries:
+        p = draw_point()
+        q = draw_point()
+        if math.hypot(p[0] - q[0], p[1] - q[1]) < s.min_pair_distance:
+            reject()
+            continue
+        a = nearest_node(world.field, p, cand)
+        b = nearest_node(world.field, q, cand)
+        if a == b:
+            reject()
+            continue
+        pairs.append((a, b))
+    return pairs, resampled
 
 
 def reference_perimeter_streets(graph: CommGraph, zone: DangerZone,

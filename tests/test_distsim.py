@@ -122,6 +122,16 @@ def test_inactive_source_rejected(tiny_graph):
             centralized_min_exposure(tiny_graph, form, 0, [0.0] * 4)
 
 
+def test_oracle_target_outside_the_nodes_rejected():
+    # a negative id would otherwise answer for the last node
+    g = build_comm_graph(generate_field(64, 3.0, 0))
+    for target in (-1, g.n):
+        with pytest.raises(ValueError, match="not a node"):
+            centralized_bfs(g, None, 0, target=target)
+        with pytest.raises(ValueError, match="not a node"):
+            centralized_min_exposure(g, None, 0, [1.0] * g.n, target=target)
+
+
 def test_bfs_trace_is_frozen(tiny_graph):
     lines: list[str] = []
     run = run_bfs_flood(tiny_graph, None, 0, trace=lines.append)

@@ -495,6 +495,10 @@ def test_cli_overrides(tmp_path, capsys):
     denser = capsys.readouterr().out
     size = lambda text: int(text.splitlines()[1].split()[3])  # noqa: E731
     assert size(denser) > size(base)
+    args = cli.make_parser().parse_args(
+        ["run", str(path), "--width", "2.5", "--shift", "0.5", "--prune"])
+    assert cli._load(args) == replace(harness.load_scenario(path),
+                                      width=2.5, shift=0.5, prune=True)
 
 
 def test_cli_trace(scenario_file, capsys):
@@ -567,6 +571,19 @@ def test_street_wide_enough_to_wake_everything_is_rejected(
     save_scenario(s, path)
     assert cli.main(["run", str(path)]) == 1
     assert "no sparser than the full network" in capsys.readouterr().err
+
+
+def test_street_too_narrow_to_wake_anything_is_rejected(tmp_path, capsys):
+    # uniform streets this narrow fail their own width check
+    s = Scenario(n=256, seed=1, skeleton="adaptive", width=0.001)
+    with pytest.raises(ScenarioError, match="wakes none of the 256 active"):
+        build_world(s)
+    path = tmp_path / "narrow.scenario"
+    save_scenario(s, path)
+    assert cli.main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "widen the streets" in err
 
 
 def test_one_out_of_zone_search_graph_per_world():

@@ -340,6 +340,16 @@ def test_attach_rejects_a_source_in_the_zone(graph_cache):
         attach_offstreet_endpoints(g, sk, inside, min(sk.awake))
 
 
+def test_attach_rejects_a_destination_outside_the_nodes(graph_cache):
+    # a negative id would otherwise flood the last node's street cell
+    g = graph_cache(1024, 3.0, 3)
+    sk = build_uniform_skeleton(g, fixture_zone("simple").zone,
+                                UniformStreetConfig(epsilon=1 / 6))
+    for dst in (-1, g.n):
+        with pytest.raises(ValueError, match="not a node"):
+            attach_offstreet_endpoints(g, sk, min(sk.awake), dst)
+
+
 def test_attach_preserves_reachability(graph_cache):
     # arbitrary active endpoints, simple zone: after attachment the skeleton
     # reaches the destination whenever the full active graph does.  Width

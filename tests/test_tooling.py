@@ -1,10 +1,12 @@
-"""The benchmark's tracer and the baseline script still fit the package.
+"""The benchmark's tracer, the baseline script and the README still fit
+the package.
 
-Both live outside `src/` and reach into it by name.  The tracer skips a
-name it cannot find, so a removed or renamed function would silently read
-0 in the benchmark; the script would fail only when someone runs it.
-Neither may import a private (underscore) name, which the package is free
-to change without notice.
+The tracer and the script live outside `src/` and reach into it by name.
+The tracer skips a name it cannot find, so a removed or renamed function
+would silently read 0 in the benchmark; the script would fail only when
+someone runs it.  Neither may import a private (underscore) name, which
+the package is free to change without notice.  The README's scenario-key
+table names every key a scenario file takes, and no other.
 """
 
 from __future__ import annotations
@@ -12,7 +14,10 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
+
+from skeleton_nav.harness import SCENARIO_KEYS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -65,3 +70,16 @@ def test_connectivity_census_contrast():
     script = load_by_path("scripts/measure_baselines.py")
     assert script.connectivity_census(64, 3.0, range(10)) == 1.0
     assert script.connectivity_census(64, 1.0, range(10)) == 0.0
+
+
+def readme_scenario_keys() -> list[str]:
+    """The keys in the first column of the README's scenario-key table."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = text.split("## Scenario keys\n\n", 1)[1].split("\n\n", 1)[0]
+    rows = table.splitlines()[2:]  # past the header and its rule
+    return [key for row in rows
+            for key in re.findall(r"`([^`]+)`", row.split("|")[1])]
+
+
+def test_readme_scenario_table_names_every_key():
+    assert readme_scenario_keys() == list(SCENARIO_KEYS)
