@@ -82,12 +82,12 @@ def section_grid():
     for frac in (0.0, 0.25, 0.5, 0.75):
         c = UniformStreetConfig(epsilon=1 / 6, shift=frac * s_sep)
         awakes[frac] = build_uniform_skeleton(g4, None, c).awake
+    size = {frac: int(np.count_nonzero(m)) for frac, m in awakes.items()}
     base, half = awakes[0.0], awakes[0.5]
-    print("size shift0:", len(base), "shift s/2:", len(half))
-    print("overlap frac:", len(base & half) / len(base))
-    union = frozenset().union(*awakes.values())
-    print("union size:", len(union),
-          "ratio vs single:", len(union) / len(base))
+    print("size shift0:", size[0.0], "shift s/2:", size[0.5])
+    print("overlap frac:", np.count_nonzero(base & half) / size[0.0])
+    union = int(np.count_nonzero(np.logical_or.reduce(list(awakes.values()))))
+    print("union size:", union, "ratio vs single:", union / size[0.0])
 
     print("== auto tune eps, n=1024 no zone, target 300 ==")
     base = Scenario(n=1024, seed=0, zone_kind="none", skeleton="uniform")
@@ -100,7 +100,7 @@ def section_voronoi():
 
     print("== voronoi 2 sources n=1024 seed 3 ==")
     band2 = detect_voronoi_nodes(g1, [(8.0, 16.0), (24.0, 16.0)])
-    xs = g1.field.positions[sorted(band2.nodes), 0]
+    xs = g1.field.positions[band2.nodes, 0]
     print("band size:", len(band2.nodes), "degenerate:", band2.degenerate)
     print("mean |x-16|:", float(np.mean(np.abs(xs - 16.0))),
           "max:", float(np.max(np.abs(xs - 16.0))))
@@ -109,7 +109,7 @@ def section_voronoi():
     sites = np.array([(6.0, 6.0), (26.0, 8.0), (16.0, 26.0)])
     band3 = detect_voronoi_nodes(g1, sites)
     vals = []
-    for v in sorted(band3.nodes):
+    for v in band3.nodes:
         d = np.hypot(*(sites - g1.field.positions[v]).T)
         order = np.argsort(d)
         i, j = int(order[0]), int(order[1])
@@ -171,13 +171,13 @@ def section_retire():
     sq = DangerZone.region([(4, 4), (10, 4), (10, 10), (4, 10)])
     ret = simulate_cluster_retirement(g256, sq)
     direct = build_adaptive_skeleton(g256, sq)
-    print("n=256 square: equal:", ret.awake == direct.awake,
-          "size:", len(ret.awake), "messages:", ret.messages)
+    print("n=256 square: equal:", np.array_equal(ret.awake, direct.awake),
+          "size:", np.count_nonzero(ret.awake), "messages:", ret.messages)
     zs = fixture_zone("simple").zone
     ret1 = simulate_cluster_retirement(g1, zs)
     dir1 = build_adaptive_skeleton(g1, zs)
-    print("n=1024 simple: equal:", ret1.awake == dir1.awake,
-          "size:", len(ret1.awake))
+    print("n=1024 simple: equal:", np.array_equal(ret1.awake, dir1.awake),
+          "size:", np.count_nonzero(ret1.awake))
 
     print("== retirement message recount, no zone n=256 ==")
     ret0 = simulate_cluster_retirement(g256, None)
@@ -189,18 +189,18 @@ def section_retire():
             expect += len(cl)
     print("messages:", ret0.messages, "recount:", expect,
           "equal:", ret0.messages == expect)
-    border = {i for i in range(256)
-              if min(g256.field.positions[i].min(),
-                     16 - g256.field.positions[i].max()) <= 1.0 / 3.0}
-    print("no-zone awake == border strip:", ret0.awake == border)
+    pos = g256.field.positions
+    border = np.minimum(pos.min(axis=1), 16 - pos.max(axis=1)) <= 1.0 / 3.0
+    print("no-zone awake == border strip:",
+          np.array_equal(ret0.awake, border))
 
     print("== adaptive no-zone awake recount n=1024 ==")
     sk0 = build_adaptive_skeleton(g1, None)
     pos = g1.field.positions
     margin = np.minimum(np.minimum(pos[:, 0], 32 - pos[:, 0]),
                         np.minimum(pos[:, 1], 32 - pos[:, 1]))
-    recount = set(np.flatnonzero(margin <= 1.0 / 3.0).tolist())
-    print("equal:", set(sk0.awake) == recount, "size:", sk0.size)
+    print("equal:", np.array_equal(sk0.awake, margin <= 1.0 / 3.0),
+          "size:", sk0.size)
 
 
 def section_attach():
@@ -275,8 +275,8 @@ def section_traces():
     print("== prune sanity, n=256 seed 4 ==")
     g256 = graph(256, 4)
     d0, _ = hop_bfs(g256, 7)
-    pr, ok = prune_street(g256, frozenset(range(g256.n)), (7, 101))
-    print("ok:", ok, "len:", len(pr), "bfs dist:", d0[101])
+    pr, ok = prune_street(g256, np.ones(g256.n, dtype=bool), (7, 101))
+    print("ok:", ok, "len:", np.count_nonzero(pr), "bfs dist:", d0[101])
 
     print("== scenario digest ==")
     print("default:", Scenario().digest)
@@ -378,20 +378,18 @@ def section_parity():
         for kind, sk in (("uniform", build_uniform_skeleton(g, zone, cfg)),
                          ("adaptive",
                           build_adaptive_skeleton(g, zone, width=5.0))):
-            awake = sorted(sk.awake)
             inside += int(points_in_region(zone,
-                                           g.field.positions[awake]).sum())
+                                           g.field.positions[sk.awake]).sum())
             skeletons[(name, kind)] = sk
     print("awake nodes inside zones:", inside)
 
     rng = np.random.default_rng(404)
     zone = fixture_zone("simple").zone
-    active = frozenset(np.flatnonzero(
-        ~zone_node_mask(zone, g.field.positions)).tolist())
+    active = ~zone_node_mask(zone, g.field.positions)
     mismatches = 0
     for kind in ("uniform", "adaptive"):
         sk = skeletons[("simple", kind)]
-        awake = sorted(sk.awake)
+        awake = np.flatnonzero(sk.awake)
         for _ in range(200):
             a, b = (int(v) for v in rng.choice(awake, size=2, replace=False))
             on_sk = run_bfs_flood(g, sk.awake, a).value[b] != INF
@@ -531,7 +529,7 @@ def section_query_scaling():
         world = build_world(s)
         pairs = sample_queries(world)
         g, search, oracle = world.graph, world.skeleton.search, world.oracle
-        pot = world.potential_array
+        pot = world.potentials
         runs = [run_min_exposure(g, search, a, pot) for a, _ in pairs]
         caps = {(a, b): run.value_at(b) * (1 + 1e-9) + 1e-9
                 for (a, b), run in zip(pairs, runs)}

@@ -27,7 +27,8 @@ from .danger import DangerZone, boundary_tolerance, points_in_region, \
     zone_node_mask
 from .field import CommGraph, NodeId, active_graph, hop_distances, \
     nearest_node
-from .skeleton import Provenance, SkeletonGraph, default_street_width
+from .skeleton import Provenance, SkeletonGraph, default_street_width, \
+    tagged
 
 _GRID_EPS = 1e-9
 
@@ -67,12 +68,11 @@ def rasterize_region(zone: DangerZone, side: int) -> np.ndarray:
         x1, y1 = float(verts[i, 0]), float(verts[i, 1])
         x2, y2 = float(verts[(i + 1) % m, 0]), float(verts[(i + 1) % m, 1])
         # a vertex strictly interior to a cell marks that cell
-        for vx, vy in ((x1, y1),):
-            fx, fy = vx - math.floor(vx), vy - math.floor(vy)
-            if fx > _GRID_EPS and fy > _GRID_EPS:
-                cx, cy = int(vx), int(vy)
-                if 0 <= cx < side and 0 <= cy < side:
-                    inside[cx, cy] = True
+        fx, fy = x1 - math.floor(x1), y1 - math.floor(y1)
+        if fx > _GRID_EPS and fy > _GRID_EPS:
+            cx, cy = int(x1), int(y1)
+            if 0 <= cx < side and 0 <= cy < side:
+                inside[cx, cy] = True
         # grid-aligned edges run between cells and touch no open interior
         if abs(x1 - x2) < _GRID_EPS and abs(x1 - round(x1)) < _GRID_EPS:
             continue
@@ -230,9 +230,7 @@ def build_quadtree(zones, side: float) -> Quadtree:
 
 def build_adaptive_skeleton(graph: CommGraph, zone: DangerZone | None,
                             tree: Quadtree | None = None,
-                            width: float | None = None,
-                            in_zone: np.ndarray | None = None
-                            ) -> SkeletonGraph:
+                            width: float | None = None) -> SkeletonGraph:
     """Wake every sensor within half a street width of its leaf boundary
     or of the field border, outside the zone."""
     fld = graph.field
@@ -243,7 +241,7 @@ def build_adaptive_skeleton(graph: CommGraph, zone: DangerZone | None,
     half = width / 2.0
 
     x, y = fld.positions.T
-    mask = zone_node_mask(zone, fld.positions, in_zone)
+    blocked = zone_node_mask(zone, fld.positions)
     x0, y0, s = tree.leaf_cells(x, y)
     # margins come from the unclamped positions: a sensor beyond the tree
     # gets a negative margin and wakes.  The field's top and right borders
@@ -252,12 +250,9 @@ def build_adaptive_skeleton(graph: CommGraph, zone: DangerZone | None,
     margin = np.minimum(np.minimum(np.minimum(x - x0, (x0 + s) - x),
                                    np.minimum(y - y0, (y0 + s) - y)),
                         fld.side - np.maximum(x, y))
-    awake = np.flatnonzero(~mask & (margin <= half)).tolist()
-    blocked = frozenset(np.flatnonzero(mask).tolist())
-    provenance = dict.fromkeys(awake, Provenance.QUADTREE_EDGE)
-    return SkeletonGraph(graph=graph, awake=frozenset(awake),
-                         provenance=provenance, construction="adaptive",
-                         blocked=blocked, geometry=tree)
+    tags = tagged((margin <= half) & ~blocked, Provenance.QUADTREE_EDGE)
+    return SkeletonGraph(graph=graph, tags=tags, blocked=blocked,
+                         construction="adaptive", geometry=tree)
 
 
 @dataclass(frozen=True)
@@ -331,7 +326,7 @@ def clusters_at_level(graph: CommGraph, zone: DangerZone | None, level: int,
 @dataclass(frozen=True)
 class RetirementResult:
     messages: int
-    awake: frozenset[NodeId]
+    awake: np.ndarray  # bool mask, as `SkeletonGraph.awake`
 
 
 def simulate_cluster_retirement(graph: CommGraph, zone: DangerZone | None,
@@ -351,7 +346,7 @@ def simulate_cluster_retirement(graph: CommGraph, zone: DangerZone | None,
     levels = tree.levels
 
     messages = 0
-    awake: set[NodeId] = set()
+    awake = np.zeros(fld.n, dtype=bool)
     for level in range(levels + 1):
         clusters = clusters_at_level(graph, zone, level, tree.side, width)
         for (ix, iy), cluster in clusters.items():
@@ -364,8 +359,8 @@ def simulate_cluster_retirement(graph: CommGraph, zone: DangerZone | None,
             else:
                 survives = tree.crossed[level + 1][ix // 2, iy // 2]
             if survives:
-                awake.update(cluster.members)
-    return RetirementResult(messages=messages, awake=frozenset(awake))
+                awake[list(cluster.members)] = True
+    return RetirementResult(messages=messages, awake=awake)
 
 
 #: A band holding this share of the active nodes or more is degenerate: its
@@ -375,7 +370,7 @@ DEGENERATE_FRACTION = 0.8
 
 @dataclass(frozen=True)
 class VoronoiBand:
-    nodes: frozenset[NodeId]
+    nodes: np.ndarray  # sorted node ids
     degenerate: bool
 
 
@@ -404,9 +399,9 @@ def detect_voronoi_nodes(graph: CommGraph, sources, active=None,
         raise ValueError("need at least two danger points")
     # each node's two smallest hop distances over all sources
     d0, d1 = np.sort(np.asarray(hops), axis=0)[:2]
-    band = ids[np.isfinite(d1) & (d1 <= d0 + max_gap)]
+    band = np.sort(ids[np.isfinite(d1) & (d1 <= d0 + max_gap)])
     degenerate = ids.size > 0 and band.size >= DEGENERATE_FRACTION * ids.size
-    return VoronoiBand(nodes=frozenset(band.tolist()), degenerate=degenerate)
+    return VoronoiBand(nodes=band, degenerate=degenerate)
 
 
 def embed_voronoi_streets(sk: SkeletonGraph, band: VoronoiBand) -> SkeletonGraph:

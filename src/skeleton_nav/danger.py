@@ -179,25 +179,18 @@ def points_in_region(zone: DangerZone, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def zone_node_mask(zone: DangerZone | None, positions: np.ndarray,
-                   held: np.ndarray | None = None) -> np.ndarray:
-    """Boolean mask of nodes lying in the zone (all False for point zones);
-    a mask the caller already holds passes through as `held`."""
-    if held is not None:
-        return held
+def zone_node_mask(zone: DangerZone | None,
+                   positions: np.ndarray) -> np.ndarray:
+    """Boolean mask of nodes lying in the zone (all False for point zones)."""
     if zone is None or zone.kind != "region":
         return np.zeros(len(positions), dtype=bool)
     return points_in_region(zone, positions)
 
 
-def boundary_nodes(graph: CommGraph, zone: DangerZone,
-                   in_zone: np.ndarray | None = None) -> frozenset[NodeId]:
+def boundary_nodes(graph: CommGraph, zone: DangerZone) -> frozenset[NodeId]:
     """In-zone nodes that hear at least one out-of-zone neighbor."""
-    mask = zone_node_mask(zone, graph.field.positions, in_zone)
-    inside = np.flatnonzero(mask)
-    counts, nbrs = graph.neighbor_runs(inside)
-    hears_out = np.repeat(inside, counts)[~mask[nbrs]]
-    return frozenset(np.unique(hears_out).tolist())
+    mask = zone_node_mask(zone, graph.field.positions)
+    return frozenset(graph.border(mask).tolist())
 
 
 @dataclass(frozen=True, eq=False)

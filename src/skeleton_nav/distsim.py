@@ -222,7 +222,7 @@ class PotentialPhase:
 
     source_nodes: tuple[NodeId, ...]
     distance_tables: np.ndarray   # (sources, n) hop distances, read-only
-    potentials: list[float]              # summed over sources at each node
+    potentials: np.ndarray        # (n,) summed over sources, read-only
     packets: int
 
 
@@ -233,7 +233,7 @@ def run_potential_phase(graph: CommGraph, active, model: PotentialModel
     Every active node ends up knowing its hop distance to each source and its
     summed potential.  Unreached nodes contribute nothing (infinite range).
     `active` is a node set or an `ActiveGraph`.  The floods run in local
-    ids; the tables fill one array and the potentials spread over n once.
+    ids; the tables and the summed potentials each fill one array.
     """
     active = active_graph(graph, active)
     ids = active.ids
@@ -242,7 +242,7 @@ def run_potential_phase(graph: CommGraph, active, model: PotentialModel
     source_nodes = []
     tables = np.full((len(model.sources), graph.n), INF)
     packets = 0
-    summed = np.zeros(ids.size)
+    potentials = np.zeros(graph.n)
     for table, (sx, sy) in zip(tables, model.sources):
         src = nearest_node(graph.field, (float(sx), float(sy)), ids)
         source_nodes.append(src)
@@ -254,11 +254,11 @@ def run_potential_phase(graph: CommGraph, active, model: PotentialModel
         # the law evaluated once per hop count, then added source by source
         law = np.array([potential_of_distance(model, float(d))
                         for d in range(int(hops.max()) + 1)])
-        summed[reached] += law[hops]
-    tables.setflags(write=False)
+        potentials[ids[reached]] += law[hops]
+    for arr in (tables, potentials):
+        arr.setflags(write=False)
     return PotentialPhase(source_nodes=tuple(source_nodes),
-                          distance_tables=tables,
-                          potentials=spread(ids, summed, graph.n, 0.0),
+                          distance_tables=tables, potentials=potentials,
                           packets=packets)
 
 

@@ -140,6 +140,12 @@ class CommGraph:
         """Degrees of `nodes` and their neighbour rows, concatenated in order."""
         return row_runs(self.indptr, self.indices, nodes)
 
+    def border(self, mask: np.ndarray) -> np.ndarray:
+        """Sorted ids of the nodes in mask with a neighbour outside it."""
+        inside = np.flatnonzero(mask)
+        counts, nbrs = self.neighbor_runs(inside)
+        return np.unique(np.repeat(inside, counts)[~mask[nbrs]])
+
     def induced(self, mask: np.ndarray) -> ActiveGraph:
         """The search graph of the k nodes in mask, with the unit-weight
         k x k matrix of the edges among them.

@@ -19,10 +19,10 @@ import numpy as np
 
 from .danger import DangerZone, PotentialModel, ZoneSpec, parse_zone, \
     points_in_region, zone_node_mask
-from .field import ActiveGraph, CommGraph, SensorField, active_graph, \
-    build_comm_graph, generate_field, nearest_node
+from .field import ActiveGraph, CommGraph, SensorField, build_comm_graph, \
+    generate_field, nearest_node
 from .skeleton import Provenance, SkeletonGraph, attach_offstreet_endpoints, \
-    default_street_width
+    default_street_width, tagged
 from .uniform import UniformStreetConfig, build_uniform_skeleton
 from .adaptive import build_adaptive_skeleton, detect_voronoi_nodes, \
     embed_voronoi_streets
@@ -224,30 +224,27 @@ class World:
     field: SensorField
     graph: CommGraph
     zone: DangerZone | None
-    active: np.ndarray          # read-only bool mask of out-of-zone nodes
     skeleton: SkeletonGraph
-    potentials: list[float] | None
+    potentials: np.ndarray | None  # read-only (n,) float64
     potential_packets: int
     resampled: int = 0
+
+    @property
+    def active(self) -> np.ndarray:
+        """Read-only bool mask of the out-of-zone nodes, off the skeleton."""
+        mask = ~self.skeleton.blocked
+        mask.setflags(write=False)
+        return mask
 
     @property
     def oracle(self) -> ActiveGraph:
         """The oracles' input over the active set: the skeleton's `active`.
 
         The skeleton blocks exactly the in-zone nodes, so its search graph
-        over the rest is this one, and the attach ring and the oracles
-        share it.  It is built on first use, unless the potential phase
-        already built it and `build_world` handed it over.
+        over the rest is this one, and the potential phase, the attach ring
+        and the oracles share it.
         """
         return self.skeleton.active
-
-    @cached_property
-    def potential_array(self) -> np.ndarray:
-        """The potentials as a read-only float64 array, for the exposure
-        flood and its oracle, which gather them by local id."""
-        arr = np.asarray(self.potentials, dtype=np.float64)
-        arr.setflags(write=False)
-        return arr
 
 
 @dataclass(frozen=True)
@@ -308,45 +305,35 @@ def build_world(s: Scenario) -> World:
     f = generate_field(s.n, s.radio_range, s.seed)
     g = build_comm_graph(f)
     zone, model = make_zone(s, f.side)
-    in_zone = zone_node_mask(zone, f.positions)
-    outside = ~in_zone
-    outside.setflags(write=False)
-
-    potentials = None
-    pot_packets = 0
-    phase = None
-    oracle = None
-    if "exposure" in s.metrics:
-        assert model is not None  # validate() ties exposure to points zones
-        oracle = active_graph(g, outside)
-        phase = run_potential_phase(g, oracle, model)
-        potentials = phase.potentials
-        pot_packets = phase.packets
 
     if s.skeleton == "full":
-        prov = dict.fromkeys(np.flatnonzero(outside).tolist(),
-                             Provenance.GRID_STREET)
-        blocked = frozenset(np.flatnonzero(~outside).tolist())
-        sk = SkeletonGraph(graph=g, awake=frozenset(prov), provenance=prov,
-                           construction="full", blocked=blocked)
+        blocked = zone_node_mask(zone, f.positions)
+        sk = SkeletonGraph(graph=g, tags=tagged(~blocked,
+                                                Provenance.GRID_STREET),
+                           blocked=blocked, construction="full")
     elif s.skeleton == "uniform":
         cfg = UniformStreetConfig(epsilon=s.epsilon, width=s.width,
                                   shift=s.shift, prune=s.prune)
-        sk = build_uniform_skeleton(g, zone, cfg, in_zone)
+        sk = build_uniform_skeleton(g, zone, cfg)
     else:
-        sk = build_adaptive_skeleton(g, zone, width=s.width, in_zone=in_zone)
-        if s.voronoi:
-            tables = phase.distance_tables if phase is not None else None
-            band = detect_voronoi_nodes(
-                g, model.sources, active=outside, distance_tables=tables)
-            if band.degenerate:
-                raise ScenarioError(
-                    f"degenerate Voronoi band: {len(band.nodes)} of "
-                    f"{np.count_nonzero(outside)} active nodes are about "
-                    "equally far from two danger points, so its streets "
-                    "would wake nearly the whole network")
-            sk = embed_voronoi_streets(sk, band)
-    active_count = np.count_nonzero(outside)
+        sk = build_adaptive_skeleton(g, zone, width=s.width)
+
+    phase = None
+    if "exposure" in s.metrics:
+        assert model is not None  # validate() ties exposure to points zones
+        phase = run_potential_phase(g, sk.active, model)
+    active_count = np.count_nonzero(~sk.blocked)
+    if s.voronoi and s.skeleton == "adaptive":
+        tables = phase.distance_tables if phase is not None else None
+        band = detect_voronoi_nodes(
+            g, model.sources, active=sk.active, distance_tables=tables)
+        if band.degenerate:
+            raise ScenarioError(
+                f"degenerate Voronoi band: {len(band.nodes)} of "
+                f"{active_count} active nodes are about "
+                "equally far from two danger points, so its streets "
+                "would wake nearly the whole network")
+        sk = embed_voronoi_streets(sk, band)
     if s.skeleton != "full" and active_count and sk.size in (0, active_count):
         width = default_street_width(s.radio_range) if s.width is None \
             else s.width
@@ -358,11 +345,9 @@ def build_world(s: Scenario) -> World:
         raise ScenarioError(
             f"the {s.skeleton} skeleton (street width {width:g}) wakes none "
             f"of the {active_count} active nodes; widen the streets")
-    if oracle is not None:
-        sk.active = oracle  # fills the cached property
-    return World(scenario=s, field=f, graph=g, zone=zone, active=outside,
-                 skeleton=sk, potentials=potentials,
-                 potential_packets=pot_packets)
+    return World(scenario=s, field=f, graph=g, zone=zone, skeleton=sk,
+                 potentials=None if phase is None else phase.potentials,
+                 potential_packets=0 if phase is None else phase.packets)
 
 
 def _main_street_component(sk: SkeletonGraph) -> list[int]:
@@ -478,7 +463,7 @@ def run_query(world: World, index: int, src: int, dst: int) -> MetricsRecord:
             path_ratio = hops_sg / hops_opt if hops_opt > 0 else 1.0
 
     if "exposure" in s.metrics:
-        pot = world.potential_array
+        pot = world.potentials
         run = run_min_exposure(g, sk.search, src, pot)
         pk_sg += run.total_packets
         res = extract_path(run, dst, g)

@@ -1,9 +1,10 @@
 """The skeleton graph: the sparse awake subset used for path search.
 
 A skeleton is a set of awake nodes plus the communication edges induced among
-them.  Nodes inside a danger region are never awake.  Each awake node carries
-a provenance tag saying which construction step put it there; query endpoints
-that start off-street get attached on the fly and are tagged as endpoints.
+them.  Nodes inside a danger region are never awake.  Each node carries a
+tag: 0 when asleep, else the provenance of the construction step that woke
+it; query endpoints that start off-street get attached on the fly and are
+tagged as endpoints.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .field import INF, ActiveGraph, CommGraph, NodeId, active_graph, \
-    hop_distances, lowest_parents, node_mask
+    hop_distances, lowest_parents
 
 
 class Provenance(Enum):
@@ -25,6 +26,19 @@ class Provenance(Enum):
     VORONOI_EDGE = "voronoi"
     ENDPOINT = "endpoint"
 
+    @property
+    def tag(self) -> int:
+        """The node tag that stands for this provenance (0 is asleep)."""
+        return _TAGS.index(self)
+
+
+_TAGS = (None, *Provenance)
+
+
+def tagged(mask: np.ndarray, provenance: Provenance) -> np.ndarray:
+    """Int8 node tags: the provenance's tag on the mask, 0 elsewhere."""
+    return np.where(mask, np.int8(provenance.tag), np.int8(0))
+
 
 def default_street_width(radio_range: float) -> float:
     """Default street width 2/r, keeping strip density times range at 2."""
@@ -33,26 +47,42 @@ def default_street_width(radio_range: float) -> float:
 
 @dataclass(eq=False)
 class SkeletonGraph:
-    """Awake node set with its search graph and per-node provenance."""
+    """Per-node tags and zone mask (both read-only), with the views and
+    search graphs derived from them on first read."""
 
     graph: CommGraph
-    awake: frozenset[NodeId]
-    provenance: dict[NodeId, Provenance]
-    construction: str                      # "uniform" | "adaptive"
-    blocked: frozenset[NodeId] = frozenset()  # nodes inside the danger region
+    tags: np.ndarray                       # int8: 0 asleep, else the tag
+    blocked: np.ndarray                    # bool: inside the danger region
+    construction: str                      # "full" | "uniform" | "adaptive"
     geometry: object | None = None         # supports enclosing_cell(x, y)
 
     def __post_init__(self) -> None:
-        if self.awake & self.blocked:
+        for arr in (self.tags, self.blocked):
+            arr.setflags(write=False)
+        if (self.awake & self.blocked).any():
             raise ValueError("awake set overlaps the danger region")
+
+    @cached_property
+    def awake(self) -> np.ndarray:
+        """Read-only bool mask of the awake (tagged) nodes."""
+        mask = self.tags != 0
+        mask.setflags(write=False)
+        return mask
 
     @property
     def size(self) -> int:
-        return len(self.awake)
+        return int(np.count_nonzero(self.awake))
 
     @property
     def fraction(self) -> float:
-        return len(self.awake) / self.graph.n
+        return self.size / self.graph.n
+
+    @cached_property
+    def provenance(self) -> dict[NodeId, Provenance]:
+        """Each awake node's provenance by node id, in id order."""
+        ids = np.flatnonzero(self.tags)
+        return dict(zip(ids.tolist(), map(_TAGS.__getitem__,
+                                          self.tags[ids].tolist())))
 
     @cached_property
     def search(self) -> ActiveGraph:
@@ -67,23 +97,29 @@ class SkeletonGraph:
     def active(self) -> ActiveGraph:
         """The nodes outside the danger region as a search graph.
 
-        A world's oracles read this same graph (`World.oracle`), and
-        `build_world` fills it when the potential phase already built one.
+        A world's potential phase and oracles read this same graph, and a
+        copy made by `with_connectors` shares it once it is built.
         """
-        return active_graph(self.graph, ~node_mask(self.graph.n, self.blocked))
+        return active_graph(self.graph, ~self.blocked)
 
     def with_connectors(self, nodes, tag: Provenance = Provenance.ENDPOINT
                         ) -> "SkeletonGraph":
-        """A copy with extra awake nodes (never waking blocked ones)."""
-        extra = frozenset(nodes) - self.awake - self.blocked
-        if not extra:
+        """A copy that also wakes `nodes` (ids or a mask) tagged `tag`;
+        blocked nodes stay asleep, awake ones keep their tags, and with
+        nothing new to wake the skeleton itself is returned."""
+        wake = np.zeros(self.graph.n, dtype=bool)
+        wake[nodes] = True
+        wake &= ~(self.awake | self.blocked)
+        if not wake.any():
             return self
-        prov = dict(self.provenance)
-        for v in extra:
-            prov[v] = tag
-        return SkeletonGraph(graph=self.graph, awake=self.awake | extra,
-                             provenance=prov, construction=self.construction,
-                             blocked=self.blocked, geometry=self.geometry)
+        tags = self.tags.copy()
+        tags[wake] = tag.tag
+        copy = SkeletonGraph(graph=self.graph, tags=tags, blocked=self.blocked,
+                             construction=self.construction,
+                             geometry=self.geometry)
+        if "active" in vars(self):
+            vars(copy)["active"] = self.active
+        return copy
 
 
 @dataclass(frozen=True)
@@ -106,20 +142,20 @@ def attach_offstreet_endpoints(graph: CommGraph, sk: SkeletonGraph,
     """
     if not 0 <= dst < graph.n:
         raise ValueError(f"destination {dst} is not a node")
+    if not 0 <= src < graph.n or sk.blocked[src]:
+        raise ValueError(f"source {src} is not active")
     packets = 0
-    connectors: set[NodeId] = set()
+    connectors = np.zeros(graph.n, dtype=bool)
     src_ok = True
     dst_ok = True
 
-    if src not in sk.awake:
+    if not sk.awake[src]:
         src_ok = False
         active = sk.active
-        if not (0 <= src < graph.n and active.mask[src]):
-            raise ValueError(f"source {src} is not active")
         # one flood gives every ring: the ring of lifetime ttl reaches the
         # nodes within ttl hops, and each of them forwards once
         dist = hop_distances(active, active.index(src))
-        hits = np.flatnonzero(sk.search.mask[active.ids] & np.isfinite(dist))
+        hits = np.flatnonzero(sk.awake[active.ids] & np.isfinite(dist))
         reach = dist[hits].min() if hits.size else INF
         ttl, prev_reached = 1, 0
         while True:
@@ -132,7 +168,7 @@ def attach_offstreet_endpoints(graph: CommGraph, sk: SkeletonGraph,
                 near = hits[dist[hits] == reach]
                 node = parent[near[np.argmin(active.ids[near])]]
                 while node != -1:  # chain from src up to (excluding) the hit
-                    connectors.add(int(active.ids[node]))
+                    connectors[active.ids[node]] = True
                     node = parent[node]
                 src_ok = True
                 break
@@ -141,11 +177,11 @@ def attach_offstreet_endpoints(graph: CommGraph, sk: SkeletonGraph,
             prev_reached = reached
             ttl *= 2
 
-    if dst not in sk.awake and dst not in connectors:
-        cell_nodes = _enclosing_cell_nodes(graph, sk, dst)
-        packets += len(cell_nodes)
-        connectors.update(cell_nodes)
-        dst_ok = dst in cell_nodes
+    if not (sk.awake[dst] or connectors[dst]):
+        cell = _enclosing_cell_nodes(graph, sk, dst)
+        packets += int(np.count_nonzero(cell))
+        connectors |= cell
+        dst_ok = bool(cell[dst])
 
     attached = sk.with_connectors(connectors)
     return AttachResult(skeleton=attached, packets=packets,
@@ -153,12 +189,12 @@ def attach_offstreet_endpoints(graph: CommGraph, sk: SkeletonGraph,
 
 
 def _enclosing_cell_nodes(graph: CommGraph, sk: SkeletonGraph,
-                          dst: NodeId) -> set[NodeId]:
-    """Active nodes inside the street cell that encloses the destination."""
+                          dst: NodeId) -> np.ndarray:
+    """Mask of the active nodes inside the street cell that encloses the
+    destination."""
     geom = sk.geometry
     if geom is None:
-        return {dst} - sk.blocked
+        return (np.arange(graph.n) == dst) & ~sk.blocked
     x0, y0, x1, y1 = geom.enclosing_cell(*graph.field.position(dst))
     px, py = graph.field.positions.T
-    inside = (x0 <= px) & (px <= x1) & (y0 <= py) & (py <= y1)
-    return set(np.flatnonzero(inside).tolist()) - sk.blocked
+    return (x0 <= px) & (px <= x1) & (y0 <= py) & (py <= y1) & ~sk.blocked

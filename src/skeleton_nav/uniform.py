@@ -16,11 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
-from .danger import DangerZone, boundary_nodes, boundary_tolerance, \
-    ids_in_box, zone_node_mask
-from .field import CommGraph, NodeId, SensorField, active_graph, \
-    hop_distances, lowest_parents
-from .skeleton import Provenance, SkeletonGraph, default_street_width
+from .danger import DangerZone, boundary_tolerance, ids_in_box, \
+    zone_node_mask
+from .distsim import extract_path, run_bfs_flood
+from .field import CommGraph, NodeId, SensorField, active_graph, node_mask
+from .skeleton import Provenance, SkeletonGraph, default_street_width, \
+    tagged
 
 #: Slack on a unit bin's reach to a line, far above the rounding of a
 #: coordinate's distance to it.
@@ -104,22 +105,21 @@ def _bracket(lines: tuple[float, ...], v: float) -> tuple[float, float]:
     return lo, hi
 
 
-def build_perimeter_streets(graph: CommGraph, zone: DangerZone, width: float,
-                            in_zone: np.ndarray | None = None
-                            ) -> frozenset[NodeId]:
-    """Boundary nodes plus out-of-zone nodes within ceil(width) hops of them.
+def build_perimeter_streets(graph: CommGraph, zone: DangerZone,
+                            width: float) -> np.ndarray:
+    """Mask of the boundary nodes and the out-of-zone nodes within
+    ceil(width) hops of them; with width 0, exactly the boundary.
 
-    The in-zone boundary nodes are returned too (callers exclude the zone when
-    assembling a skeleton); with width 0 the result is exactly the boundary.
-
-    Only the edges near the polygon are needed.  A boundary node and its
-    outside neighbour lie within r of the boundary, since the edge between
-    them crosses it, so a node d hops further out lies within (d + 1) r.
-    The search runs on the graph of the sensors that close, a field of its
-    own in local ids whose edges are the full graph's among them, so
-    `graph`'s own rows are never read.  One multi-source Dijkstra over its
-    outside and boundary nodes stops at `depth` hops (no path gains by
-    passing a second boundary node).
+    The in-zone boundary nodes are included (callers exclude the zone when
+    assembling a skeleton).  Only the edges near the polygon are needed.  A
+    boundary node and its outside neighbour lie within r of the boundary,
+    since the edge between them crosses it, so a node d hops further out
+    lies within (d + 1) r.  The search runs on the graph of the sensors that
+    close, a field of its own in local ids whose edges are the full graph's
+    among them, so `graph`'s own rows are never read and only those sensors
+    take the zone test.  One multi-source Dijkstra over its outside and
+    boundary nodes stops at `depth` hops (no path gains by passing a second
+    boundary node).
     """
     fld = graph.field
     depth = math.ceil(width)
@@ -128,13 +128,15 @@ def build_perimeter_streets(graph: CommGraph, zone: DangerZone, width: float,
     band = CommGraph(field=SensorField(
         n=ids.size, side=fld.side, radio_range=fld.radio_range,
         seed=fld.seed, positions=fld.positions[ids]))
-    inside = zone_node_mask(zone, fld.positions, in_zone)[ids]
-    base = np.fromiter(boundary_nodes(band, zone, inside), dtype=int)
+    inside = zone_node_mask(zone, band.field.positions)
+    base = band.border(inside)
     inside[base] = False  # the boundary nodes are the sources
     search = active_graph(band, ~inside)
     dist = dijkstra(search.matrix, indices=search.local[base],
                     min_only=True, limit=depth)
-    return frozenset(ids[search.ids[np.isfinite(dist)]].tolist())
+    out = np.zeros(fld.n, dtype=bool)
+    out[ids[search.ids[np.isfinite(dist)]]] = True
+    return out
 
 
 def _near_boundary(zone: DangerZone, pos: np.ndarray,
@@ -152,33 +154,25 @@ def _near_boundary(zone: DangerZone, pos: np.ndarray,
     return ids[near]
 
 
-def prune_street(graph: CommGraph, street: frozenset[NodeId],
-                 endpoints: tuple[NodeId, NodeId]
-                 ) -> tuple[frozenset[NodeId], bool]:
-    """Thin a street to the hop-shortest path between its endpoints.
+def prune_street(graph: CommGraph, street: np.ndarray,
+                 endpoints: tuple[NodeId, NodeId]) -> tuple[np.ndarray, bool]:
+    """Thin a street (a node mask) to the hop-shortest path between its
+    endpoints, the path a flood from the first one traces back.
 
     If the street is internally disconnected it is returned unchanged with a
     False flag so callers can keep the redundant embedding.
     """
     a, b = endpoints
-    if a not in street or b not in street:
+    if not (street[a] and street[b]):
         raise ValueError("endpoints must belong to the street")
-    search = active_graph(graph, street)
-    start, node = search.index(a), search.index(b)
-    dist = hop_distances(search, start)
-    if not np.isfinite(dist[node]):
+    path = extract_path(run_bfs_flood(graph, street, a), b, graph)
+    if not path.reachable:
         return street, False
-    parent = lowest_parents(search, dist)
-    path = [node]
-    while node != start:
-        node = int(parent[node])
-        path.append(node)
-    return frozenset(search.ids[path].tolist()), True
+    return node_mask(graph.n, path.nodes), True
 
 
 def build_uniform_skeleton(graph: CommGraph, zone: DangerZone | None,
-                           cfg: UniformStreetConfig,
-                           in_zone: np.ndarray | None = None) -> SkeletonGraph:
+                           cfg: UniformStreetConfig) -> SkeletonGraph:
     """Wake the grid-street strips and perimeter streets, minus the zone."""
     fld = graph.field
     s, w = cfg.validate(fld.n, fld.radio_range)
@@ -188,32 +182,20 @@ def build_uniform_skeleton(graph: CommGraph, zone: DangerZone | None,
     lines_y = lines_x
 
     pos = fld.positions
-    on_street = (_near_line(pos[:, 0], lines_x, half)
-                 | _near_line(pos[:, 1], lines_y, half))
-
-    in_zone = zone_node_mask(zone, pos, in_zone)
-    blocked = frozenset(np.flatnonzero(in_zone).tolist())
-
-    grid_nodes = set(np.flatnonzero(on_street & ~in_zone).tolist())
+    blocked = zone_node_mask(zone, pos)
+    grid = (_near_line(pos[:, 0], lines_x, half)
+            | _near_line(pos[:, 1], lines_y, half)) & ~blocked
     if cfg.prune:
-        grid_nodes = _pruned_grid(graph, pos, lines_x, lines_y, half,
-                                  grid_nodes)
-
-    provenance = dict.fromkeys(grid_nodes, Provenance.GRID_STREET)
-    awake = set(grid_nodes)
-
+        grid = _pruned_grid(graph, pos, lines_x, lines_y, half, grid)
+    tags = tagged(grid, Provenance.GRID_STREET)
     if zone is not None and zone.kind == "region":
-        perimeter = build_perimeter_streets(graph, zone, w, in_zone)
-        for v in perimeter:
-            if v not in blocked and v not in awake:
-                awake.add(v)
-                provenance[v] = Provenance.PERIMETER_STREET
+        perimeter = build_perimeter_streets(graph, zone, w)
+        tags[perimeter & ~grid & ~blocked] = Provenance.PERIMETER_STREET.tag
 
     geometry = UniformGeometry(lines_x=tuple(lines_x), lines_y=tuple(lines_y),
                                width=w)
-    return SkeletonGraph(graph=graph, awake=frozenset(awake),
-                         provenance=provenance, construction="uniform",
-                         blocked=blocked, geometry=geometry)
+    return SkeletonGraph(graph=graph, tags=tags, blocked=blocked,
+                         construction="uniform", geometry=geometry)
 
 
 def _near_line(coord: np.ndarray, lines: list[float],
@@ -246,19 +228,19 @@ def _near_line(coord: np.ndarray, lines: list[float],
 
 
 def _pruned_grid(graph: CommGraph, pos: np.ndarray, lines_x, lines_y,
-                 half: float, grid_nodes: set[NodeId]) -> set[NodeId]:
+                 half: float, grid: np.ndarray) -> np.ndarray:
     """Per-street shortest-path thinning; unprunable streets stay as-is."""
-    kept: set[NodeId] = set()
+    kept = np.zeros_like(grid)
     for axis, lines in ((0, lines_x), (1, lines_y)):
-        other = 1 - axis
+        other = pos[:, 1 - axis]
         for line in lines:
-            strip = frozenset(
-                v for v in grid_nodes if abs(pos[v, axis] - line) <= half)
-            if len(strip) < 2:
+            strip = grid & (np.abs(pos[:, axis] - line) <= half)
+            ids = np.flatnonzero(strip)
+            if ids.size < 2:
                 kept |= strip
                 continue
-            lo = min(strip, key=lambda v: (pos[v, other], v))
-            hi = max(strip, key=lambda v: (pos[v, other], -v))
-            pruned, ok = prune_street(graph, strip, (lo, hi))
-            kept |= pruned
+            # the two ends along the line, ties to the lowest id
+            lo = ids[np.lexsort((ids, other[ids]))[0]]
+            hi = ids[np.lexsort((-ids, other[ids]))[-1]]
+            kept |= prune_street(graph, strip, (lo, hi))[0]
     return kept

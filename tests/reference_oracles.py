@@ -233,18 +233,19 @@ def reference_attach(graph: CommGraph, sk, src: NodeId, dst: NodeId
     on ties) back to the source.  An off-street destination wakes every
     active node of its enclosing street cell.
     """
-    allowed = [v not in sk.blocked for v in range(graph.n)]
+    allowed = (~sk.blocked).tolist()
     packets = 0
     connectors: set[NodeId] = set()
     src_ok = dst_ok = True
-    if src not in sk.awake:
+    if not sk.awake[src]:
         src_ok = False
         ttl, prev_reached = 1, 0
         while True:
             dist, parent = reference_bfs(graph, [src], allowed, ttl)
             reached = sum(1 for d in dist if d != INF)
             packets += reached
-            hits = [v for v in sorted(sk.awake) if dist[v] != INF]
+            hits = [v for v in np.flatnonzero(sk.awake).tolist()
+                    if dist[v] != INF]
             if hits:
                 node = parent[min(hits, key=lambda v: dist[v])]
                 while node != -1:
@@ -256,15 +257,16 @@ def reference_attach(graph: CommGraph, sk, src: NodeId, dst: NodeId
                 break
             prev_reached = reached
             ttl *= 2
-    if dst not in sk.awake and dst not in connectors:
+    if not sk.awake[dst] and dst not in connectors:
         if sk.geometry is None:
-            cell = {dst} - sk.blocked
+            cell = {dst}
         else:
             x0, y0, x1, y1 = sk.geometry.enclosing_cell(
                 *graph.field.position(dst))
             cell = {v for v, (x, y) in
                     enumerate(graph.field.positions.tolist())
-                    if x0 <= x <= x1 and y0 <= y <= y1} - sk.blocked
+                    if x0 <= x <= x1 and y0 <= y <= y1}
+        cell = {v for v in cell if not sk.blocked[v]}
         packets += len(cell)
         connectors |= cell
         dst_ok = dst in cell
@@ -394,14 +396,14 @@ def reference_leaf_at(tree: ReferenceTree, x: float,
 
 
 def reference_adaptive_awake(graph: CommGraph, zone, tree: ReferenceTree,
-                             width: float) -> frozenset[NodeId]:
-    """Sensors outside the zone within width / 2 of their leaf's boundary
-    or of the field's top and right borders (the bottom and left ones are
-    leaf edges)."""
+                             width: float) -> np.ndarray:
+    """Mask of the sensors outside the zone within width / 2 of their
+    leaf's boundary or of the field's top and right borders (the bottom and
+    left ones are leaf edges)."""
     half = width / 2.0
     side = graph.field.side
     mask = zone_node_mask(zone, graph.field.positions)
-    awake = set()
+    awake = np.zeros(graph.n, dtype=bool)
     for i in range(graph.n):
         if mask[i]:
             continue
@@ -411,20 +413,20 @@ def reference_adaptive_awake(graph: CommGraph, zone, tree: ReferenceTree,
         margin = min(x - leaf.x0, leaf.x0 + s - x, y - leaf.y0, leaf.y0 + s - y,
                      side - x, side - y)
         if margin <= half:
-            awake.add(i)
-    return frozenset(awake)
+            awake[i] = True
+    return awake
 
 
 def reference_grid_streets(graph: CommGraph, zone, lines,
-                           half: float) -> frozenset[NodeId]:
-    """Sensors outside the zone within half of some grid line, in x or in
-    y, by their distance to every line."""
+                           half: float) -> np.ndarray:
+    """Mask of the sensors outside the zone within half of some grid line,
+    in x or in y, by their distance to every line."""
     lines = np.asarray(lines, dtype=np.float64)
     pos = graph.field.positions
     near = (np.abs(pos[:, :1] - lines) <= half).any(axis=1) \
         | (np.abs(pos[:, 1:] - lines) <= half).any(axis=1)
     mask = zone_node_mask(zone, pos)
-    return frozenset(np.flatnonzero(near & ~mask).tolist())
+    return near & ~mask
 
 
 def reference_points_in_region(zone: DangerZone, pts: np.ndarray) -> np.ndarray:
@@ -498,12 +500,13 @@ def reference_sample_queries(world: World
 
 
 def reference_perimeter_streets(graph: CommGraph, zone: DangerZone,
-                                width: float) -> frozenset[NodeId]:
-    """Boundary nodes of the full graph, then ceil(width) hops outside."""
+                                width: float) -> np.ndarray:
+    """Mask of the boundary nodes of the full graph, then ceil(width) hops
+    outside."""
     base = boundary_nodes(graph, zone)
     outside = ~zone_node_mask(zone, graph.field.positions)
     dist, _ = reference_bfs(graph, base, outside, math.ceil(width))
-    return frozenset(v for v, d in enumerate(dist) if d != INF)
+    return np.isfinite(dist)
 
 
 def reference_csr(field: SensorField) -> tuple[np.ndarray, np.ndarray]:

@@ -17,7 +17,7 @@ import skeleton_nav.harness as harness
 from skeleton_nav.adaptive import build_adaptive_skeleton
 from skeleton_nav.danger import zone_node_mask
 from skeleton_nav.distsim import centralized_bfs, extract_path, run_bfs_flood
-from skeleton_nav.field import SensorField, build_comm_graph
+from skeleton_nav.field import SensorField, build_comm_graph, node_mask
 from skeleton_nav.harness import (
     CSV_COLUMNS,
     InvariantViolation,
@@ -147,14 +147,14 @@ def test_build_world_constructions():
     full = build_world(Scenario(n=256, seed=1))
     assert full.skeleton.construction == "full"
     assert full.active.all()
-    assert full.skeleton.awake == frozenset(range(256))
-    assert full.skeleton.blocked == frozenset()
+    assert full.skeleton.awake.all()
+    assert not full.skeleton.blocked.any()
     assert full.potentials is None
 
     uni = build_world(Scenario(n=1024, seed=2, zone_kind="simple",
                                skeleton="uniform", epsilon=1 / 6))
     assert uni.skeleton.construction == "uniform"
-    assert set(np.flatnonzero(~uni.active).tolist()) == uni.skeleton.blocked
+    assert np.array_equal(~uni.active, uni.skeleton.blocked)
     assert 0 < np.count_nonzero(uni.active) < 1024
 
     ada = build_world(Scenario(n=1024, seed=3, zone_kind="points",
@@ -164,8 +164,7 @@ def test_build_world_constructions():
     assert ada.skeleton.construction == "adaptive"
     assert ada.potentials is not None
     assert ada.potential_packets > 0
-    assert any(ada.skeleton.provenance[v] is Provenance.VORONOI_EDGE
-               for v in ada.skeleton.awake)
+    assert (ada.skeleton.tags == Provenance.VORONOI_EDGE.tag).any()
 
 
 def test_sample_queries_snap_to_streets():
@@ -175,8 +174,8 @@ def test_sample_queries_snap_to_streets():
     pairs = sample_queries(world)
     assert len(pairs) == 25
     for a, b in pairs:
-        assert a in world.skeleton.awake
-        assert b in world.skeleton.awake
+        assert world.skeleton.awake[a]
+        assert world.skeleton.awake[b]
         assert a != b
     again = build_world(world.scenario)
     assert sample_queries(again) == pairs
@@ -232,7 +231,7 @@ def test_run_query_packet_bookkeeping():
     assert rec.scenario_hash == world.scenario.digest
 
 
-def test_exposure_queries_reuse_world_state():
+def test_exposure_queries_reuse_world_state(monkeypatch):
     world = build_world(Scenario(
         n=1024, seed=9, zone_kind="points", danger_count=3, danger_seed=17,
         skeleton="adaptive", width=3.0, voronoi=True, queries=3,
@@ -244,15 +243,26 @@ def test_exposure_queries_reuse_world_state():
     assert world.active.all()
     assert np.shares_memory(mat.indices, world.graph.indices)
     before = [a.copy() for a in (mat.data, mat.indices, mat.indptr)]
-    cached = []
+    read = []
+
+    def spy(search_fn):
+        def call(graph, active, source, potentials, **kwargs):
+            read.append(potentials)
+            return search_fn(graph, active, source, potentials, **kwargs)
+        return call
+
+    for name in ("run_min_exposure", "centralized_min_exposure"):
+        monkeypatch.setattr(harness, name, spy(getattr(harness, name)))
     for i, (a, b) in enumerate(pairs):
         rec = run_query(world, i, a, b)
         assert rec.packets_attach == 0 and rec.exposure_opt is not None
         assert world.skeleton.search is search
-        cached.append(vars(world)["potential_array"])
-    assert all(c is cached[0] for c in cached)
-    pot = world.potential_array
-    assert not pot.flags.writeable and pot.tolist() == world.potentials
+    # every search of every query reads the world's one read-only array
+    pot = world.potentials
+    assert len(read) >= 2 * len(pairs)
+    assert all(p is pot for p in read)
+    assert not pot.flags.writeable
+    assert pot.dtype == np.float64 and pot.shape == (world.graph.n,)
     after = (mat.data, mat.indices, mat.indptr)
     assert all(x.dtype == y.dtype and np.array_equal(x, y)
                for x, y in zip(before, after))
@@ -260,27 +270,31 @@ def test_exposure_queries_reuse_world_state():
 
 @pytest.mark.parametrize("construction", ["uniform", "adaptive"])
 def test_world_tests_the_zone_once(monkeypatch, construction):
-    # build_world hands its zone mask to the skeleton builders, so the
-    # zone is tested once per world; builders called without the mask
-    # compute their own and wake the same nodes
+    # the skeleton builder tests the whole field once per world, and the
+    # world reads its zone mask off the skeleton; the uniform perimeter
+    # search tests only the sensors near the boundary.  Builders called
+    # directly wake the same nodes
     s = Scenario(n=1024, seed=4, zone_kind="complex", skeleton=construction,
                  epsilon=1 / 6)
     world = build_world(s)
     calls = []
     tested = danger_module.points_in_region
     monkeypatch.setattr(danger_module, "points_in_region",
-                        lambda *a: calls.append(1) or tested(*a))
+                        lambda *a: calls.append(len(a[1])) or tested(*a))
     again = build_world(s)
-    assert len(calls) == 1
-    assert again.skeleton.awake == world.skeleton.awake
+    assert np.array_equal(again.active, ~again.skeleton.blocked)
+    assert calls[0] == s.n
+    assert len(calls) == (2 if construction == "uniform" else 1)
+    assert all(k < s.n for k in calls[1:])
+    assert np.array_equal(again.skeleton.awake, world.skeleton.awake)
     zone, g = world.zone, world.graph
     if construction == "uniform":
         alone = build_uniform_skeleton(g, zone,
                                        UniformStreetConfig(epsilon=1 / 6))
     else:
         alone = build_adaptive_skeleton(g, zone)
-    assert alone.awake == world.skeleton.awake
-    assert alone.blocked == world.skeleton.blocked
+    assert np.array_equal(alone.awake, world.skeleton.awake)
+    assert np.array_equal(alone.blocked, world.skeleton.blocked)
 
 
 def test_disconnected_pairs_are_flagged_and_excluded():
@@ -377,17 +391,17 @@ def test_attach_without_geometry_wakes_only_the_destination():
     pos = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 10.0], [11.0, 10.0]])
     f = SensorField(n=4, side=12.0, radio_range=1.5, seed=0, positions=pos)
     g = build_comm_graph(f)
-    from skeleton_nav.skeleton import SkeletonGraph
+    from skeleton_nav.skeleton import SkeletonGraph, tagged
 
-    sk = SkeletonGraph(graph=g, awake=frozenset({2}),
-                       provenance={2: Provenance.GRID_STREET},
-                       construction="uniform")
+    sk = SkeletonGraph(graph=g, tags=tagged(node_mask(4, [2]),
+                                            Provenance.GRID_STREET),
+                       blocked=np.zeros(4, dtype=bool), construction="uniform")
     res = attach_offstreet_endpoints(g, sk, 0, 3)
     # source 0 sits in a component with no street node: the expanding
     # ring gives up once its ball stops growing
     assert not res.src_attached
     assert res.dst_attached
-    assert 3 in res.skeleton.awake
+    assert res.skeleton.awake[3]
 
 
 def test_csv_layout_and_determinism(tmp_path):
@@ -595,7 +609,8 @@ def test_one_out_of_zone_search_graph_per_world():
     assert region.oracle is region.skeleton.active
     assert np.array_equal(region.oracle.mask, region.active)
     assert not region.active.all()
-    # the potential phase builds it up front and hands it to the skeleton
+    # the potential phase builds it up front, on the skeleton, and the
+    # copy that embeds the Voronoi streets shares it
     points = build_world(Scenario(
         n=1024, seed=9, zone_kind="points", danger_count=3, danger_seed=17,
         skeleton="adaptive", width=3.0, voronoi=True, metrics=("exposure",)))
@@ -610,12 +625,12 @@ def test_offstreet_source_floods_the_attached_skeleton():
     g, sk = world.graph, world.skeleton
     base_search = sk.search  # cached before any query, as sampling does
     dst = harness._main_street_component(sk)[0]
-    for src in sorted(set(np.flatnonzero(world.active).tolist()) - sk.awake):
+    for src in np.flatnonzero(world.active & ~sk.awake).tolist():
         attach = attach_offstreet_endpoints(g, sk, src, dst)
         flood = run_bfs_flood(g, attach.skeleton.awake, src)
         if attach.src_attached and flood.value[dst] != INF:
             break
-    assert attach.packets > 0 and src not in sk.awake
+    assert attach.packets > 0 and not sk.awake[src]
     rec = run_query(world, 0, src, dst)
     assert rec.packets_attach == attach.packets
     assert rec.reachable_sg

@@ -26,7 +26,12 @@ CSR build must equal every pairwise distance, pairs exactly one radio range
 apart and ranges that hold no pair included; the space order, two stable
 sorts, must equal one `lexsort` where x values repeat and y values sit on
 strip boundaries; and component labels found as strong components must
-give the partition and sizes of csgraph's undirected labelling.
+give the partition and sizes of csgraph's undirected labelling.  Every
+construction's skeleton, and the skeleton after an attach step, holds
+read-only, disjoint awake and zone masks over all nodes, the zone mask
+being the zone test's, its provenance keyed by exactly the awake nodes;
+adding connectors never wakes a blocked node or re-tags an awake one, and
+with nothing new to wake it returns the skeleton itself.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from reference_oracles import centralized_bfs as reference_centralized_bfs
 from reference_oracles import centralized_min_exposure as \
@@ -54,10 +59,11 @@ from skeleton_nav.distsim import INF, active_graph, centralized_bfs, \
     centralized_min_exposure, extract_path, run_bfs_flood, run_min_exposure
 import skeleton_nav.field
 from skeleton_nav.field import CommGraph, SensorField, build_comm_graph, \
-    generate_field, hop_bfs, hop_distances, space_order, spread
-from skeleton_nav.harness import _main_street_component, fixture_zone
+    generate_field, hop_bfs, hop_distances, node_mask, space_order, spread
+from skeleton_nav.harness import Scenario, ScenarioError, \
+    _main_street_component, build_world, fixture_zone
 from skeleton_nav.skeleton import Provenance, SkeletonGraph, \
-    attach_offstreet_endpoints
+    attach_offstreet_endpoints, tagged
 from skeleton_nav.uniform import UniformStreetConfig, \
     build_perimeter_streets, build_uniform_skeleton, street_line_positions
 
@@ -197,17 +203,15 @@ def _run_fields(run):
 @given(shaped_instances())
 def test_floods_on_search_graph_equal_node_set_floods(inst):
     g, awake, _, rng = inst
-    members = frozenset(np.flatnonzero(awake).tolist())
-    sk = SkeletonGraph(graph=g, awake=members,
-                       provenance=dict.fromkeys(members,
-                                                Provenance.GRID_STREET),
+    sk = SkeletonGraph(graph=g, tags=tagged(awake, Provenance.GRID_STREET),
+                       blocked=np.zeros(g.n, dtype=bool),
                        construction="uniform")
     assert sk.search.mask.tolist() == awake.tolist()  # cache the base graph
     extra = np.flatnonzero(rng.random(g.n) < 0.3).tolist()
     grown = sk.with_connectors(extra)
     pot = potentials(rng, g.n)
     for skel in (sk, grown):
-        nodes = sorted(skel.awake)
+        nodes = np.flatnonzero(skel.awake).tolist()
         src = nodes[int(rng.integers(len(nodes)))]
         lines, again = [], []
         cached = run_bfs_flood(g, skel.search, src, trace=lines.append)
@@ -366,11 +370,12 @@ def test_leaf_table_equals_tree_walk(case):
                   for i in range(len(crossed))]
         assert np.array_equal(crossed, expect)
     sk = build_adaptive_skeleton(g, zone, tree=tree, width=width)
-    assert sk.awake == reference_adaptive_awake(g, zone, ref, width)
-    assert sk.provenance == dict.fromkeys(sk.awake,
+    assert np.array_equal(sk.awake,
+                          reference_adaptive_awake(g, zone, ref, width))
+    assert sk.provenance == dict.fromkeys(np.flatnonzero(sk.awake).tolist(),
                                           Provenance.QUADTREE_EDGE)
     mask = zone_node_mask(zone, g.field.positions)
-    assert sk.blocked == frozenset(np.flatnonzero(mask).tolist())
+    assert np.array_equal(sk.blocked, mask)
     for x, y in g.field.positions.tolist():
         got, leaf = tree.leaf_at(x, y), reference_leaf_at(ref, x, y)
         assert (got.x0, got.y0, got.size) == (leaf.x0, leaf.y0, leaf.size)
@@ -421,9 +426,8 @@ def test_grid_streets_equal_distance_to_every_line(case):
     g, zone, cfg, lines, half = case
     sk = build_uniform_skeleton(g, zone, cfg)
     assert list(sk.geometry.lines_x) == lines
-    grid = frozenset(v for v, tag in sk.provenance.items()
-                     if tag is Provenance.GRID_STREET)
-    assert grid == reference_grid_streets(g, zone, lines, half)
+    grid = sk.tags == Provenance.GRID_STREET.tag
+    assert np.array_equal(grid, reference_grid_streets(g, zone, lines, half))
 
 
 def short_edge_polygon(draw, rng) -> np.ndarray:
@@ -526,8 +530,8 @@ def perimeter_cases(draw):
 @given(perimeter_cases())
 def test_band_perimeter_equals_full_graph_search(case):
     g, zone, width = case
-    assert build_perimeter_streets(g, zone, width) == \
-        reference_perimeter_streets(g, zone, width)
+    assert np.array_equal(build_perimeter_streets(g, zone, width),
+                          reference_perimeter_streets(g, zone, width))
 
 
 @st.composite
@@ -573,7 +577,8 @@ def test_attach_equals_ring_loop(case):
     packets, connectors, src_ok, dst_ok = reference_attach(g, sk, src, dst)
     assert (res.packets, res.src_attached, res.dst_attached) == \
         (packets, src_ok, dst_ok)
-    assert res.skeleton.awake == sk.awake | connectors
+    assert np.array_equal(res.skeleton.awake,
+                          sk.awake | node_mask(g.n, connectors))
 
 
 NUMBERINGS = settings(max_examples=100, deadline=None)
@@ -598,12 +603,8 @@ def numbered_outcomes(g, active, awake, src, dst, pot):
     runs = [run_bfs_flood(g, active, src, trace=lines.append),
             run_min_exposure(g, active, src, pot, trace=lines.append)]
     search = active_graph(g, active)
-    members = frozenset(np.flatnonzero(awake).tolist())
-    sk = SkeletonGraph(graph=g, awake=members,
-                       provenance=dict.fromkeys(members,
-                                                Provenance.GRID_STREET),
-                       construction="uniform",
-                       blocked=frozenset(np.flatnonzero(~active).tolist()))
+    sk = SkeletonGraph(graph=g, tags=tagged(awake, Provenance.GRID_STREET),
+                       blocked=~active, construction="uniform")
     att = attach_offstreet_endpoints(g, sk, src, dst)
     return ([_run_fields(r) + (r.total_packets,) for r in runs], lines,
             [extract_path(r, dst, g) for r in runs],
@@ -613,8 +614,8 @@ def numbered_outcomes(g, active, awake, src, dst, pot):
             centralized_min_exposure(g, search, src, pot, target=dst),
             spread(search.ids, search.component_sizes, g.n, 0),
             _main_street_component(sk),
-            (att.skeleton.awake, att.packets, att.src_attached,
-             att.dst_attached))
+            (np.flatnonzero(att.skeleton.awake).tolist(), att.packets,
+             att.src_attached, att.dst_attached))
 
 
 @NUMBERINGS
@@ -651,7 +652,7 @@ def test_perimeter_streets_do_not_depend_on_node_numbering(case, numbering):
     g, zone, width = case
     expect = build_perimeter_streets(g, zone, width)
     with random_numbering(numbering):
-        assert build_perimeter_streets(g, zone, width) == expect
+        assert np.array_equal(build_perimeter_streets(g, zone, width), expect)
 
 
 BUILDS = settings(max_examples=100, deadline=None)
@@ -744,3 +745,67 @@ def test_component_labels_equal_the_undirected_reference(case):
     matched = np.unique(np.column_stack((labels, ref)), axis=0)
     assert len(matched) == len(np.unique(labels)) == len(np.unique(ref))
     assert np.array_equal(search.component_sizes, np.bincount(ref)[ref])
+
+
+SKELETONS = settings(max_examples=40, deadline=None)
+
+
+@st.composite
+def skeleton_worlds(draw):
+    """A world of every construction: full, uniform with and without
+    pruning, adaptive with and without Voronoi streets."""
+    kind = draw(st.sampled_from(("full", "uniform", "pruned", "adaptive",
+                                 "voronoi")))
+    n = draw(st.sampled_from((256, 576, 1024)))
+    zone = "points" if kind == "voronoi" else \
+        draw(st.sampled_from(("none", "simple", "complex", "points")))
+    s = Scenario(n=n, seed=draw(st.integers(0, 2**16)), zone_kind=zone,
+                 danger_count=draw(st.integers(2, int(math.sqrt(n) / 4))),
+                 danger_seed=draw(st.integers(0, 2**16)),
+                 skeleton={"pruned": "uniform", "voronoi": "adaptive"}.get(
+                     kind, kind),
+                 prune=kind == "pruned", voronoi=kind == "voronoi",
+                 epsilon=1 / 6, width=draw(st.sampled_from((None, 1.0, 2.0))))
+    try:
+        return build_world(s)
+    except ScenarioError:
+        assume(False)
+
+
+def assert_node_arrays(sk, zone):
+    n = sk.graph.n
+    assert sk.tags.dtype == np.int8 and not sk.tags.flags.writeable
+    assert sk.awake.dtype == sk.blocked.dtype == bool
+    assert sk.awake.shape == sk.blocked.shape == (n,)
+    assert not (sk.awake.flags.writeable or sk.blocked.flags.writeable)
+    assert not (sk.awake & sk.blocked).any()
+    assert np.array_equal(sk.blocked,
+                          zone_node_mask(zone, sk.graph.field.positions))
+    assert sk.size == np.count_nonzero(sk.awake)
+    assert list(sk.provenance) == np.flatnonzero(sk.awake).tolist()
+
+
+@SKELETONS
+@given(skeleton_worlds(), st.integers(0, 2**16), st.sampled_from(Provenance))
+def test_skeletons_hold_node_masks(world, seed, tag):
+    sk, g, zone = world.skeleton, world.graph, world.zone
+    rng = np.random.default_rng(seed)
+    assert_node_arrays(sk, zone)
+    search = sk.search
+    extra = rng.random(g.n) < 0.2
+    grown = sk.with_connectors(extra, tag)
+    assert_node_arrays(grown, zone)
+    assert np.array_equal(grown.awake, sk.awake | (extra & ~sk.blocked))
+    assert np.array_equal(grown.tags[sk.awake], sk.tags[sk.awake])
+    assert (grown.tags[grown.awake & ~sk.awake] == tag.tag).all()
+    # nothing new to wake: the skeleton itself, with its search graph
+    assert sk.with_connectors(sk.awake | sk.blocked, tag) is sk
+    assert sk.with_connectors(np.flatnonzero(sk.awake), tag) is sk
+    street = np.flatnonzero(sk.awake)
+    a, b = rng.choice(street, size=2).tolist()
+    assert attach_offstreet_endpoints(g, sk, a, b).skeleton is sk
+    assert sk.search is search
+    src = int(rng.choice(np.flatnonzero(~sk.blocked)))
+    att = attach_offstreet_endpoints(g, sk, src, int(rng.integers(g.n)))
+    assert_node_arrays(att.skeleton, zone)
+    assert np.array_equal(att.skeleton.tags[sk.awake], sk.tags[sk.awake])

@@ -82,7 +82,7 @@ def test_no_awake_node_lies_in_the_zone(s):
         world = build_world(s)
     except ScenarioError:
         return
-    awake = np.fromiter(world.skeleton.awake, dtype=np.int64)
+    awake = world.skeleton.awake
     assert world.active[awake].all()
     if s.zone_kind in ("simple", "complex"):
         assert not reference_points_in_region(

@@ -198,11 +198,11 @@ def test_no_zone_skeleton_is_the_field_border(graph_cache):
     pos = g.field.positions
     margin = np.minimum(np.minimum(pos[:, 0], 32.0 - pos[:, 0]),
                         np.minimum(pos[:, 1], 32.0 - pos[:, 1]))
-    assert set(sk.awake) == set(np.flatnonzero(margin <= 1.0 / 3.0).tolist())
-    assert all(sk.provenance[v] is Provenance.QUADTREE_EDGE for v in sk.awake)
+    assert np.array_equal(sk.awake, margin <= 1.0 / 3.0)
+    assert (sk.tags[sk.awake] == Provenance.QUADTREE_EDGE.tag).all()
     assert sk.construction == "adaptive"
     explicit = build_adaptive_skeleton(g, None, width=2.0 / 3.0)
-    assert explicit.awake == sk.awake
+    assert np.array_equal(explicit.awake, sk.awake)
 
 
 @pytest.mark.parametrize("n", (1056, 1090))
@@ -216,10 +216,10 @@ def test_field_border_is_a_street_where_the_tree_overhangs(n):
     near = world.active & ((fld.side - x <= width / 2)
                            | (fld.side - y <= width / 2))
     assert np.count_nonzero(near) > 10
-    assert set(np.flatnonzero(near).tolist()) <= sk.awake
+    assert sk.awake[near].all()
     tree = reference_quadtree(world.zone, fld.side)
-    assert sk.awake == reference_adaptive_awake(world.graph, world.zone,
-                                                tree, width)
+    assert np.array_equal(sk.awake, reference_adaptive_awake(
+        world.graph, world.zone, tree, width))
 
 
 def test_fixture_skeleton_wakes_leaf_margins(graph_cache):
@@ -227,10 +227,11 @@ def test_fixture_skeleton_wakes_leaf_margins(graph_cache):
     zone = fixture_zone("simple").zone
     sk = build_adaptive_skeleton(g, zone)
     mask = zone_node_mask(zone, g.field.positions)
-    assert sk.blocked == frozenset(np.flatnonzero(mask).tolist())
-    assert not (sk.awake & sk.blocked)
+    assert np.array_equal(sk.blocked, mask)
+    assert not (sk.awake & sk.blocked).any()
     tree = reference_quadtree(zone, g.field.side)
-    assert sk.awake == reference_adaptive_awake(g, zone, tree, 2.0 / 3.0)
+    assert np.array_equal(sk.awake,
+                          reference_adaptive_awake(g, zone, tree, 2.0 / 3.0))
 
 
 def test_cluster_membership_and_leaders(graph_cache):
@@ -254,11 +255,11 @@ def test_retirement_matches_direct_construction(graph_cache):
     g = graph_cache(256, 3.0, 4)
     ret = simulate_cluster_retirement(g, square)
     direct = build_adaptive_skeleton(g, square)
-    assert ret.awake == direct.awake
+    assert np.array_equal(ret.awake, direct.awake)
     g1 = graph_cache(1024, 3.0, 3)
     zone = fixture_zone("simple").zone
-    assert simulate_cluster_retirement(g1, zone).awake == \
-        build_adaptive_skeleton(g1, zone).awake
+    assert np.array_equal(simulate_cluster_retirement(g1, zone).awake,
+                          build_adaptive_skeleton(g1, zone).awake)
 
 
 def test_retirement_message_accounting_without_zone(graph_cache):
@@ -274,7 +275,7 @@ def test_retirement_message_accounting_without_zone(graph_cache):
             expect += len(table)
     assert ret.messages == expect
     root = clusters_at_level(g, None, 4, 16, 2.0 / 3.0)[(0, 0)]
-    assert ret.awake == frozenset(root.members)
+    assert np.flatnonzero(ret.awake).tolist() == list(root.members)
 
 
 def test_voronoi_needs_two_sources(graph_cache):
@@ -288,7 +289,8 @@ def test_voronoi_band_splits_symmetric_sources(graph_cache):
     band = detect_voronoi_nodes(g, [(8.0, 16.0), (24.0, 16.0)])
     assert not band.degenerate
     assert 150 <= len(band.nodes) <= 230  # measured 190
-    xs = g.field.positions[sorted(band.nodes), 0]
+    assert np.array_equal(band.nodes, np.sort(band.nodes))
+    xs = g.field.positions[band.nodes, 0]
     # the band hugs the mirror line x=16 to within about a hop
     assert float(np.mean(np.abs(xs - 16.0))) <= 2.0
     assert float(np.max(np.abs(xs - 16.0))) <= 6.0
@@ -300,7 +302,7 @@ def test_voronoi_band_tracks_three_site_bisectors(graph_cache):
     band = detect_voronoi_nodes(g, sites)
     assert not band.degenerate
     gaps = []
-    for v in sorted(band.nodes):
+    for v in band.nodes:
         p = g.field.positions[v]
         d = np.hypot(*(sites - p).T)
         i, j = np.argsort(d)[:2]
@@ -320,7 +322,7 @@ def test_voronoi_distance_table_path_is_equivalent(graph_cache):
         src = nearest_node(g.field, p)
         tables.append(hop_bfs(g, src)[0])
     via_tables = detect_voronoi_nodes(g, sites, distance_tables=tables)
-    assert via_tables.nodes == direct.nodes
+    assert np.array_equal(via_tables.nodes, direct.nodes)
 
 
 def test_collocated_sources_flag_degenerate(graph_cache):
@@ -335,13 +337,14 @@ def test_embed_voronoi_streets(graph_cache):
 
     g = graph_cache(1024, 3.0, 3)
     sk = build_adaptive_skeleton(g, None)
-    empty = VoronoiBand(nodes=frozenset(), degenerate=False)
+    empty = VoronoiBand(nodes=np.array([], dtype=np.int64), degenerate=False)
     assert embed_voronoi_streets(sk, empty) is sk
-    extra = frozenset(list(set(range(g.n)) - sk.awake)[:10])
+    extra = np.flatnonzero(~sk.awake)[:10]
     grown = embed_voronoi_streets(sk, VoronoiBand(nodes=extra,
                                                   degenerate=False))
     assert grown.size == sk.size + 10
-    assert all(grown.provenance[v] is Provenance.VORONOI_EDGE for v in extra)
+    assert all(grown.provenance[v] is Provenance.VORONOI_EDGE
+               for v in extra.tolist())
 
 
 def test_voronoi_streets_carry_low_exposure_paths():

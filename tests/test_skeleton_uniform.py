@@ -16,13 +16,14 @@ import pytest
 from scipy.sparse.csgraph import connected_components
 
 from skeleton_nav.danger import DangerZone, boundary_nodes, zone_node_mask
-from skeleton_nav.field import hop_bfs
+from skeleton_nav.field import hop_bfs, node_mask
 from skeleton_nav.harness import fixture_zone
 from skeleton_nav.skeleton import (
     Provenance,
     SkeletonGraph,
     attach_offstreet_endpoints,
     default_street_width,
+    tagged,
 )
 from skeleton_nav.uniform import (
     UniformStreetConfig,
@@ -35,11 +36,12 @@ from skeleton_nav.uniform import (
 
 
 def strip_recount(field, lines, half):
-    """Independent strip membership: distance to the nearest line per axis."""
+    """Independent strip membership mask: distance to the nearest line per
+    axis."""
     lx = np.asarray(lines)
     nx = np.min(np.abs(field.positions[:, 0][:, None] - lx[None, :]), axis=1)
     ny = np.min(np.abs(field.positions[:, 1][:, None] - lx[None, :]), axis=1)
-    return set(np.flatnonzero((nx <= half) | (ny <= half)).tolist())
+    return (nx <= half) | (ny <= half)
 
 
 def ball_oracle(graph, base, mask, hops):
@@ -149,10 +151,10 @@ def test_grid_strip_membership_recount(graph_cache):
     sk = build_uniform_skeleton(g, None, cfg)
     s, w = cfg.validate(1024, 3.0)
     lines = street_line_positions(g.field.side, s, 0.0)
-    assert set(sk.awake) == strip_recount(g.field, lines, w / 2.0)
-    assert all(sk.provenance[v] is Provenance.GRID_STREET for v in sk.awake)
+    assert np.array_equal(sk.awake, strip_recount(g.field, lines, w / 2.0))
+    assert (sk.tags[sk.awake] == Provenance.GRID_STREET.tag).all()
     assert sk.construction == "uniform"
-    assert not sk.blocked
+    assert not sk.blocked.any()
     assert 120 <= sk.size <= 200  # measured 153 at this seed
 
 
@@ -162,18 +164,17 @@ def test_zone_blocks_and_perimeter_wakes(graph_cache):
     cfg = UniformStreetConfig(epsilon=1 / 6)
     sk = build_uniform_skeleton(g, zone, cfg)
     mask = zone_node_mask(zone, g.field.positions)
-    assert sk.blocked == frozenset(np.flatnonzero(mask).tolist())
-    assert not (sk.awake & sk.blocked)
+    assert np.array_equal(sk.blocked, mask)
+    assert not (sk.awake & sk.blocked).any()
 
     s, w = cfg.validate(1024, 3.0)
     lines = street_line_positions(g.field.side, s, 0.0)
-    grid = strip_recount(g.field, lines, w / 2.0) - set(sk.blocked)
+    grid = strip_recount(g.field, lines, w / 2.0) & ~sk.blocked
     perim = build_perimeter_streets(g, zone, w)
-    assert set(sk.awake) == grid | (perim - set(sk.blocked))
-    perim_tagged = {v for v in sk.awake
-                    if sk.provenance[v] is Provenance.PERIMETER_STREET}
-    assert perim_tagged == (perim - set(sk.blocked)) - grid
-    assert perim_tagged  # the zone boundary is populated at n=1024
+    assert np.array_equal(sk.awake, grid | (perim & ~sk.blocked))
+    perim_tagged = sk.tags == Provenance.PERIMETER_STREET.tag
+    assert np.array_equal(perim_tagged, perim & ~sk.blocked & ~grid)
+    assert perim_tagged.any()  # the zone boundary is populated at n=1024
 
 
 def test_perimeter_streets_against_ball_oracle(graph_cache):
@@ -181,28 +182,30 @@ def test_perimeter_streets_against_ball_oracle(graph_cache):
     zone = fixture_zone("simple").zone
     mask = zone_node_mask(zone, g.field.positions)
     base = boundary_nodes(g, zone)
-    assert build_perimeter_streets(g, zone, 0.0) == base
+    assert np.flatnonzero(build_perimeter_streets(g, zone, 0.0)).tolist() \
+        == sorted(base)
     for w in (0.5, 2.0):
         got = build_perimeter_streets(g, zone, w)
-        assert got == frozenset(ball_oracle(g, base, mask, math.ceil(w)))
+        assert np.flatnonzero(got).tolist() == \
+            sorted(ball_oracle(g, base, mask, math.ceil(w)))
 
 
 def test_perimeter_streets_empty_without_boundary(graph_cache):
     g = graph_cache(256, 3.0, 3)
     off_field = DangerZone.region([(40, 40), (42, 40), (42, 42), (40, 42)])
-    assert build_perimeter_streets(g, off_field, 2.0) == frozenset()
+    assert not build_perimeter_streets(g, off_field, 2.0).any()
 
 
 def test_prune_street_finds_shortest_path(graph_cache):
     g = graph_cache(256, 3.0, 3)
-    street = frozenset(range(g.n))
+    street = np.ones(g.n, dtype=bool)
     pruned, ok = prune_street(g, street, (7, 101))
     assert ok
     dist, _ = hop_bfs(g, 7)
-    assert len(pruned) == dist[101] + 1
-    assert {7, 101} <= pruned
+    assert np.count_nonzero(pruned) == dist[101] + 1
+    assert pruned[7] and pruned[101]
     # the kept nodes really form one path: go hop by hop from 7
-    order = sorted(pruned, key=lambda v: hop_bfs(g, 7)[0][v])
+    order = sorted(np.flatnonzero(pruned).tolist(), key=lambda v: dist[v])
     for a, b in zip(order, order[1:]):
         assert b in g.adj[a]
 
@@ -211,12 +214,12 @@ def test_prune_street_disconnected_and_bad_endpoints(graph_cache):
     g = graph_cache(256, 3.0, 3)
     far = max(range(g.n), key=lambda v: g.field.distance(0, v))
     assert far not in g.adj[0]
-    street = frozenset({0, far})
+    street = node_mask(g.n, [0, far])
     same, ok = prune_street(g, street, (0, far))
     assert not ok
-    assert same == street
+    assert np.array_equal(same, street)
     with pytest.raises(ValueError):
-        prune_street(g, frozenset({0, 1}), (0, 250))
+        prune_street(g, node_mask(g.n, [0, 1]), (0, 250))
 
 
 def test_pruned_build_is_sparser(graph_cache):
@@ -226,11 +229,10 @@ def test_pruned_build_is_sparser(graph_cache):
     pruned = build_uniform_skeleton(
         g, zone, UniformStreetConfig(epsilon=1 / 6, prune=True))
     assert pruned.size < plain.size
-    tags = lambda sk: {v for v in sk.awake  # noqa: E731
-                       if sk.provenance[v] is Provenance.PERIMETER_STREET}
+    tags = lambda sk: sk.tags == Provenance.PERIMETER_STREET.tag  # noqa: E731
     # pruning thins grid streets only; perimeter streets always survive
-    assert tags(pruned) >= tags(plain)
-    assert tags(pruned)
+    assert (tags(pruned) >= tags(plain)).all()
+    assert tags(pruned).any()
 
 
 def test_shifted_grids_decorrelate(graph_cache):
@@ -239,15 +241,16 @@ def test_shifted_grids_decorrelate(graph_cache):
     s = cfg.separation(4096)
     base = build_uniform_skeleton(g, None, cfg).awake
     again = build_uniform_skeleton(g, None, replace(cfg, shift=0.0)).awake
-    assert again == base
+    assert np.array_equal(again, base)
     shifted = build_uniform_skeleton(g, None, replace(cfg, shift=s / 2)).awake
     # measured overlap 0.285 at this seed: shifted grids share few sensors
-    assert len(base & shifted) / len(base) < 0.30
-    union = set(base)
+    size = np.count_nonzero(base)
+    assert np.count_nonzero(base & shifted) / size < 0.30
+    union = base.copy()
     for frac in (0.25, 0.5, 0.75):
         union |= build_uniform_skeleton(g, None,
                                         replace(cfg, shift=frac * s)).awake
-    assert len(union) >= 4.0 * len(base)  # measured ratio 4.06
+    assert np.count_nonzero(union) >= 4.0 * size  # measured ratio 4.06
 
 
 def test_enclosing_cell_brackets_the_point(graph_cache):
@@ -268,33 +271,33 @@ def test_enclosing_cell_brackets_the_point(graph_cache):
 
 def test_skeleton_graph_basics(graph_cache):
     g = graph_cache(256, 3.0, 3)
-    sk = SkeletonGraph(graph=g, awake=frozenset({1, 2, 3}),
-                       provenance={v: Provenance.GRID_STREET for v in (1, 2, 3)},
-                       construction="uniform", blocked=frozenset({9}))
+    blocked = node_mask(g.n, [9])
+    sk = SkeletonGraph(graph=g, tags=tagged(node_mask(g.n, [1, 2, 3]),
+                                            Provenance.GRID_STREET),
+                       blocked=blocked, construction="uniform")
     assert sk.size == 3
     assert sk.fraction == 3 / 256
     with pytest.raises(ValueError):
-        SkeletonGraph(graph=g, awake=frozenset({9}),
-                      provenance={9: Provenance.GRID_STREET},
-                      construction="uniform", blocked=frozenset({9}))
+        SkeletonGraph(graph=g, tags=tagged(blocked, Provenance.GRID_STREET),
+                      blocked=blocked, construction="uniform")
 
 
 def test_with_connectors_respects_blocked(graph_cache):
     g = graph_cache(256, 3.0, 3)
-    sk = SkeletonGraph(graph=g, awake=frozenset({1}),
-                       provenance={1: Provenance.GRID_STREET},
-                       construction="uniform", blocked=frozenset({9}))
-    assert sk.with_connectors(set()) is sk
-    assert sk.with_connectors({1, 9}) is sk  # nothing new to wake
-    grown = sk.with_connectors({4, 9})
-    assert grown.awake == frozenset({1, 4})
+    sk = SkeletonGraph(graph=g, tags=tagged(node_mask(g.n, [1]),
+                                            Provenance.GRID_STREET),
+                       blocked=node_mask(g.n, [9]), construction="uniform")
+    assert sk.with_connectors([]) is sk
+    assert sk.with_connectors([1, 9]) is sk  # nothing new to wake
+    grown = sk.with_connectors([4, 9])
+    assert np.flatnonzero(grown.awake).tolist() == [1, 4]
     assert grown.provenance[4] is Provenance.ENDPOINT
 
 
 def test_attach_on_street_is_free(graph_cache):
     g = graph_cache(1024, 3.0, 2)
     sk = build_uniform_skeleton(g, None, UniformStreetConfig(epsilon=1 / 6))
-    a, b = sorted(sk.awake)[:2]
+    a, b = np.flatnonzero(sk.awake)[:2].tolist()
     res = attach_offstreet_endpoints(g, sk, a, b)
     assert res.skeleton is sk
     assert res.packets == 0
@@ -305,11 +308,11 @@ def test_attach_one_hop_source(graph_cache):
     g = graph_cache(1024, 3.0, 2)
     sk = build_uniform_skeleton(g, None, UniformStreetConfig(epsilon=1 / 6))
     src = next(v for v in range(g.n)
-               if v not in sk.awake and any(u in sk.awake for u in g.adj[v]))
-    dst = sorted(sk.awake)[0]
+               if not sk.awake[v] and sk.awake[list(g.adj[v])].any())
+    dst = int(np.flatnonzero(sk.awake)[0])
     res = attach_offstreet_endpoints(g, sk, src, dst)
     assert res.src_attached and res.dst_attached
-    assert res.skeleton.awake == sk.awake | {src}
+    assert np.array_equal(res.skeleton.awake, sk.awake | node_mask(g.n, [src]))
     assert res.skeleton.provenance[src] is Provenance.ENDPOINT
     # one ring of lifetime 1: the source plus every neighbor it woke
     assert res.packets == 1 + len(g.adj[src])
@@ -318,8 +321,8 @@ def test_attach_one_hop_source(graph_cache):
 def test_attach_floods_destination_cell(graph_cache):
     g = graph_cache(1024, 3.0, 2)
     sk = build_uniform_skeleton(g, None, UniformStreetConfig(epsilon=1 / 6))
-    src = sorted(sk.awake)[0]
-    dst = next(v for v in range(g.n) if v not in sk.awake)
+    src = int(np.flatnonzero(sk.awake)[0])
+    dst = int(np.flatnonzero(~sk.awake)[0])
     res = attach_offstreet_endpoints(g, sk, src, dst)
     assert res.dst_attached
     x0, y0, x1, y1 = sk.geometry.enclosing_cell(*g.field.position(dst))
@@ -328,16 +331,17 @@ def test_attach_floods_destination_cell(graph_cache):
             if x0 <= pos[i, 0] <= x1 and y0 <= pos[i, 1] <= y1}
     assert dst in cell
     assert res.packets == len(cell)
-    assert res.skeleton.awake == sk.awake | cell
+    assert np.array_equal(res.skeleton.awake, sk.awake | node_mask(g.n, cell))
 
 
 def test_attach_rejects_a_source_in_the_zone(graph_cache):
     g = graph_cache(1024, 3.0, 5)
     sk = build_uniform_skeleton(g, fixture_zone("simple").zone,
                                 UniformStreetConfig(epsilon=1 / 6, width=2.5))
-    inside = min(sk.blocked)
+    inside = int(np.flatnonzero(sk.blocked)[0])
     with pytest.raises(ValueError):
-        attach_offstreet_endpoints(g, sk, inside, min(sk.awake))
+        attach_offstreet_endpoints(g, sk, inside,
+                                   int(np.flatnonzero(sk.awake)[0]))
 
 
 def test_attach_rejects_a_destination_outside_the_nodes(graph_cache):
@@ -347,7 +351,8 @@ def test_attach_rejects_a_destination_outside_the_nodes(graph_cache):
                                 UniformStreetConfig(epsilon=1 / 6))
     for dst in (-1, g.n):
         with pytest.raises(ValueError, match="not a node"):
-            attach_offstreet_endpoints(g, sk, min(sk.awake), dst)
+            attach_offstreet_endpoints(g, sk, int(np.flatnonzero(sk.awake)[0]),
+                                       dst)
 
 
 def test_attach_preserves_reachability(graph_cache):
@@ -361,15 +366,15 @@ def test_attach_preserves_reachability(graph_cache):
         g, zone, UniformStreetConfig(epsilon=1 / 6, width=2.5))
     _, labels = connected_components(sk.search.matrix, directed=False)
     assert np.unique(labels).size == 1  # the matrix holds awake nodes only
-    active = sorted(set(range(g.n)) - set(sk.blocked))
-    assert sk.size < len(active)
+    active = np.flatnonzero(~sk.blocked)
+    assert sk.size < active.size
     rng = np.random.default_rng(123)
     attached = 0
     for _ in range(50):
         a, b = (int(v) for v in rng.choice(active, size=2, replace=False))
         res = attach_offstreet_endpoints(g, sk, a, b)
         attached += res.packets > 0
-        dist_sk, _ = hop_bfs(g, a, set(range(g.n)) - res.skeleton.awake)
+        dist_sk, _ = hop_bfs(g, a, ~res.skeleton.awake)
         dist_full, _ = hop_bfs(g, a, sk.blocked)
         assert (dist_sk[b] != math.inf) == (dist_full[b] != math.inf)
     assert attached > 0

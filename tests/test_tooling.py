@@ -5,8 +5,10 @@ The tracer and the script live outside `src/` and reach into it by name.
 The tracer skips a name it cannot find, so a removed or renamed function
 would silently read 0 in the benchmark; the script would fail only when
 someone runs it.  Neither may import a private (underscore) name, which
-the package is free to change without notice.  The README's scenario-key
-table names every key a scenario file takes, and no other.
+the package is free to change without notice.  One small round of each
+benchmark workload, untraced and traced, passes the benchmark's own
+checks.  The README's scenario-key table names every key a scenario file
+takes, and no other.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import ast
 import importlib
 import importlib.util
 import re
+import sys
 from pathlib import Path
 
 from skeleton_nav.harness import SCENARIO_KEYS
@@ -22,10 +25,14 @@ from skeleton_nav.harness import SCENARIO_KEYS
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def load_by_path(relative: str):
+def load_by_path(relative: str, monkeypatch=None):
+    """The file as a module; given `monkeypatch`, registered in
+    `sys.modules` for the test first, as a dataclass defined in it needs."""
     path = ROOT / relative
     spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
+    if monkeypatch is not None:
+        monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
     return module
 
@@ -63,6 +70,34 @@ def test_tooling_imports_no_private_package_names():
     private = {str(f.relative_to(ROOT)): names for f in files
                if (names := private_package_imports(f))}
     assert not private, f"private skeleton_nav imports: {private}"
+
+
+def test_benchmark_rounds_pass_their_checks(monkeypatch):
+    # each workload at n = 1024: once untraced, once traced as `measure`
+    # traces a round
+    monkeypatch.setattr(sys, "path", list(sys.path))  # run.py prepends
+    bench = load_by_path("navbench/run.py", monkeypatch)
+    h = bench.import_package()
+    for name in bench.WORKLOADS:
+        sc = bench.scenario_for(h, name, 1, n=1024)
+        census = name == "census-large"
+        round_of = bench.census_round if census else bench.query_round
+        plain = round_of(h, sc, None, None)
+        tracer = bench.Tracer()
+        tracer.install()
+        try:
+            traced = round_of(h, sc, tracer, None)
+        finally:
+            tracer.uninstall()
+        for rnd in (plain, traced):
+            assert not rnd.problems and not rnd.run_problems, name
+            assert rnd.attempted > 0 and rnd.failed == 0, name
+            if not census:
+                by_tag = sum(count for key, count in rnd.counts.items()
+                             if key.startswith("skeleton.awake."))
+                assert by_tag == rnd.awake[0] > 0, name
+        if name == "exposure-points":
+            assert 0 < tracer.counts["voronoi_nodes"] < sc.n
 
 
 def test_connectivity_census_contrast():
