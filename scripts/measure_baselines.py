@@ -32,7 +32,8 @@ from skeleton_nav.danger import (DangerZone, PotentialModel, path_exposure,
                                  perimeter_length, points_in_region,
                                  well_behaved_check, zone_node_mask)
 from skeleton_nav.distsim import (centralized_bfs, centralized_min_exposure,
-                                  run_bfs_flood, run_min_exposure)
+                                  run_bfs_flood, run_min_exposure,
+                                  run_potential_phase)
 from skeleton_nav.field import (SensorField, build_comm_graph, generate_field,
                                 hop_bfs)
 from skeleton_nav.harness import (Scenario, auto_tune_epsilon, build_world,
@@ -95,11 +96,17 @@ def section_grid():
     print("eps:", eps, "size:", size)
 
 
+def voronoi_band(g, sites):
+    """The band read off a potential phase over every node of g."""
+    return detect_voronoi_nodes(
+        run_potential_phase(g, None, PotentialModel(sources=sites)))
+
+
 def section_voronoi():
     g1 = graph(1024, 3)
 
     print("== voronoi 2 sources n=1024 seed 3 ==")
-    band2 = detect_voronoi_nodes(g1, [(8.0, 16.0), (24.0, 16.0)])
+    band2 = voronoi_band(g1, [(8.0, 16.0), (24.0, 16.0)])
     xs = g1.field.positions[band2.nodes, 0]
     print("band size:", len(band2.nodes), "degenerate:", band2.degenerate)
     print("mean |x-16|:", float(np.mean(np.abs(xs - 16.0))),
@@ -107,7 +114,7 @@ def section_voronoi():
 
     print("== voronoi 3 sources n=1024 seed 3 ==")
     sites = np.array([(6.0, 6.0), (26.0, 8.0), (16.0, 26.0)])
-    band3 = detect_voronoi_nodes(g1, sites)
+    band3 = voronoi_band(g1, sites)
     vals = []
     for v in band3.nodes:
         d = np.hypot(*(sites - g1.field.positions[v]).T)
@@ -119,7 +126,7 @@ def section_voronoi():
     print("bisector dist mean:", float(np.mean(vals)), "max:", max(vals))
 
     print("== collocated sources ==")
-    bandc = detect_voronoi_nodes(g1, [(10.0, 10.0), (10.0, 10.0)])
+    bandc = voronoi_band(g1, [(10.0, 10.0), (10.0, 10.0)])
     print("band size:", len(bandc.nodes), "of", g1.n,
           "degenerate:", bandc.degenerate)
 

@@ -47,7 +47,6 @@ from .adaptive import (
 )
 from .distsim import (
     PacketKind,
-    PathResult,
     PotentialPhase,
     SimRun,
     centralized_bfs,

@@ -5,7 +5,8 @@ The field square is carved by a quadtree whose cells split wherever the
 boundaries and the field border become the streets; sensors within half a
 street width of their leaf's boundary, or of the border, stay awake.  For
 point dangers the tree refines around the points and hop-equidistant
-sensors form Voronoi streets between them.
+sensors form Voronoi streets between them, read off the hop tables of the
+potential phase (`distsim.run_potential_phase`).
 
 The tree is held as arrays, not cell objects: a pyramid of crossed-cell
 masks, one per level, each the 2 x 2 OR of the level below, and one table
@@ -25,8 +26,8 @@ import numpy as np
 
 from .danger import DangerZone, boundary_tolerance, points_in_region, \
     zone_node_mask
-from .field import CommGraph, NodeId, active_graph, hop_distances, \
-    nearest_node
+from .distsim import PotentialPhase
+from .field import CommGraph, NodeId
 from .skeleton import Provenance, SkeletonGraph, default_street_width, \
     tagged
 
@@ -374,33 +375,22 @@ class VoronoiBand:
     degenerate: bool
 
 
-def detect_voronoi_nodes(graph: CommGraph, sources, active=None,
-                         distance_tables=None, max_gap: int = 1
+def detect_voronoi_nodes(phase: PotentialPhase, max_gap: int = 1
                          ) -> VoronoiBand:
-    """Sensors whose two closest danger points are within max_gap hops.
+    """Sensors whose two closest danger sources are within max_gap hops,
+    read off the potential phase's hop tables over the graph it flooded.
 
     Needs at least two sources.  Duplicate (collocated) sources make nearly
     every sensor equidistant; such a band, DEGENERATE_FRACTION of the
-    active nodes or more, is flagged degenerate.  Given
-    `distance_tables` (per source, hop distances by node id), none is run.
+    flooded nodes or more, is flagged degenerate.
     """
-    search = active_graph(graph, active)
-    ids = search.ids
-    if distance_tables is None:
-        pts = np.asarray(sources, dtype=np.float64)
-        if pts.ndim != 2 or len(pts) < 2:
-            raise ValueError("need at least two danger points")
-        # per source, hop distances by local id: the tables' active columns
-        hops = [hop_distances(search, search.index(nearest_node(
-            graph.field, (float(p[0]), float(p[1])), ids))) for p in pts]
-    else:
-        hops = np.asarray(distance_tables)[:, ids]
-    if len(hops) < 2:
+    if len(phase.source_nodes) < 2:
         raise ValueError("need at least two danger points")
+    ids = phase.search.ids
     # each node's two smallest hop distances over all sources
-    d0, d1 = np.sort(np.asarray(hops), axis=0)[:2]
+    d0, d1 = np.sort(phase.distance_tables[:, ids], axis=0)[:2]
     band = np.sort(ids[np.isfinite(d1) & (d1 <= d0 + max_gap)])
-    degenerate = ids.size > 0 and band.size >= DEGENERATE_FRACTION * ids.size
+    degenerate = band.size >= DEGENERATE_FRACTION * ids.size
     return VoronoiBand(nodes=band, degenerate=degenerate)
 
 

@@ -58,10 +58,6 @@ class DangerZone:
         return cls(kind="points", points=np.asarray(points, dtype=np.float64),
                    curve_constant=curve_constant)
 
-    def source_points(self) -> np.ndarray:
-        """Where potentials radiate from: the points, or the region vertices."""
-        return self.points if self.kind == "points" else self.vertices
-
 
 def _validated_polygon(verts: np.ndarray) -> np.ndarray:
     if verts.ndim != 2 or verts.shape[1] != 2 or len(verts) < 3:

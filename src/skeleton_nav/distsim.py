@@ -13,14 +13,17 @@ skeleton's `search`, a world's `oracle`).  The floods run on the search
 graph's local ids: their state is k-length for a set of k nodes, and a
 `SimRun` keeps it, building the n-length `value`, `parent` and
 `transmissions` lists only when they are read; `extract_path` walks the
-local parents.  Trace lines name nodes by node id.  The hop flood, the hop
-oracle and the potential phase read hop distances off one csgraph BFS order
-(`field.hop_distances`), whose cost follows the edges the search reaches;
-the flood takes each node's lowest-id parent from its induced row
-(`field.lowest_parents`).  The exposure flood runs each round as a few
-array steps over the frontier's rows of the search graph's CSR arrays, and
-its oracle is csgraph's Dijkstra on weights gathered over the same index
-arrays, with the source's potential folded into its row.
+local parents and returns the route's node ids.  Trace lines name nodes by
+node id.  The hop flood, the hop oracle and the potential phase read hop
+distances off one csgraph BFS order (`field.hop_distances`), whose cost
+follows the edges the search reaches; the flood takes each node's lowest-id
+parent from its induced row (`field.lowest_parents`).  The potential phase
+keeps the search graph it flooded beside its per-source hop tables, and
+the Voronoi band (`adaptive.detect_voronoi_nodes`) is read off them, so a
+world floods from each danger source once.  The exposure flood runs each
+round as a few array steps over the frontier's rows of the search graph's
+CSR arrays, and its oracle is csgraph's Dijkstra on weights gathered over
+the same index arrays, with the source's potential folded into its row.
 
 Node order: over part of the network a search graph's local ids follow
 space order (see `field`), its rows list neighbours by node id, and every
@@ -37,11 +40,10 @@ Dijkstra stops.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -111,18 +113,6 @@ class SimRun:
     @cached_property
     def transmissions(self) -> list[int]:
         return spread(self.ids, self.local_tx, self.n, 0)
-
-
-@dataclass(frozen=True)
-class PathResult:
-    """A recovered route with its measures."""
-
-    nodes: tuple[NodeId, ...]
-    hops: int
-    length: float                # geometric length of the hop sequence
-    exposure: float | None
-    reachable: bool
-    packets: int                 # transmissions spent by the search
 
 
 def _search_graph(graph: CommGraph, active, source: NodeId,
@@ -218,8 +208,10 @@ def run_min_exposure(graph: CommGraph, active, source: NodeId,
 
 @dataclass(eq=False)
 class PotentialPhase:
-    """Network-wide result of flooding once from every danger source."""
+    """Network-wide result of flooding once from every danger source over
+    the search graph `search`."""
 
+    search: ActiveGraph
     source_nodes: tuple[NodeId, ...]
     distance_tables: np.ndarray   # (sources, n) hop distances, read-only
     potentials: np.ndarray        # (n,) summed over sources, read-only
@@ -257,23 +249,18 @@ def run_potential_phase(graph: CommGraph, active, model: PotentialModel
         potentials[ids[reached]] += law[hops]
     for arr in (tables, potentials):
         arr.setflags(write=False)
-    return PotentialPhase(source_nodes=tuple(source_nodes),
+    return PotentialPhase(search=active, source_nodes=tuple(source_nodes),
                           distance_tables=tables, potentials=potentials,
                           packets=packets)
 
 
-def extract_path(run: SimRun, destination: NodeId, graph: CommGraph
-                 ) -> PathResult:
-    """Walk parents back from the destination and measure the route.
-
-    The walk reads the run's local state, so it costs the route's length,
-    and one `np.hypot` over the whole chain gives the hop lengths.  An
-    exposure run reports the exposure its packet accumulated.
-    """
+def extract_path(run: SimRun, destination: NodeId) -> tuple[NodeId, ...]:
+    """The route's node ids from the source to the destination, walked back
+    along the run's local parents, so it costs the route's length; empty
+    when the destination is unreached."""
     node = run.local(destination)
     if node < 0 or run.local_value[node] == INF:
-        return PathResult(nodes=(), hops=0, length=0.0, exposure=None,
-                          reachable=False, packets=run.total_packets)
+        return ()
     source = run.local(run.source)
     chain = [node]
     for _ in range(run.ids.size + 1):
@@ -285,18 +272,7 @@ def extract_path(run: SimRun, destination: NodeId, graph: CommGraph
         chain.append(node)
     else:
         raise RuntimeError("parent chain has a cycle")
-    chain = run.ids[chain[::-1]]
-    step = graph.field.positions[chain]
-    step = step[:-1] - step[1:]
-    # a left fold from the source, as a loop over the hops sums it; sum()
-    # compensates float sums from Python 3.12 on, so its bits could differ
-    length = reduce(operator.add, np.hypot(*step.T).tolist(), 0.0)
-    chain = chain.tolist()
-    exposure = run.value_at(destination) \
-        if run.kind is PacketKind.EXPOSURE_SEARCH else None
-    return PathResult(nodes=tuple(chain), hops=len(chain) - 1, length=length,
-                      exposure=exposure, reachable=True,
-                      packets=run.total_packets)
+    return tuple(run.ids[chain[::-1]].tolist())
 
 
 def centralized_bfs(graph: CommGraph, active, source: NodeId, *,

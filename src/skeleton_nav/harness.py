@@ -119,6 +119,8 @@ class Scenario:
             raise ScenarioError("voronoi streets need a points zone")
         if self.voronoi and self.danger_count < 2:
             raise ScenarioError("voronoi streets need at least two dangers")
+        if self.voronoi and self.skeleton != "adaptive":
+            raise ScenarioError("voronoi streets need an adaptive skeleton")
         if self.width is not None and self.width <= 0:
             raise ScenarioError("street width must be positive")
         if not 0.0 < self.epsilon < 0.5:
@@ -225,7 +227,7 @@ class World:
     graph: CommGraph
     zone: DangerZone | None
     skeleton: SkeletonGraph
-    potentials: np.ndarray | None  # read-only (n,) float64
+    potentials: np.ndarray | None  # read-only (n,) float64, if the phase ran
     potential_packets: int
     resampled: int = 0
 
@@ -288,7 +290,7 @@ def make_zone(s: Scenario, side: float) -> tuple[DangerZone | None,
         pts = rng.uniform(0.0, side, size=(s.danger_count, 2))
         zone = DangerZone.point_set([tuple(p) for p in pts])
         model = PotentialModel(
-            sources=zone.source_points(),
+            sources=zone.points,
             beta=2.0 if s.beta is None else s.beta,
             clamp_radius=1.0 if s.clamp_radius is None else s.clamp_radius)
         return zone, model
@@ -296,7 +298,8 @@ def make_zone(s: Scenario, side: float) -> tuple[DangerZone | None,
 
 
 def build_world(s: Scenario) -> World:
-    """Field, graph, zone, skeleton, and (if needed) the potential field.
+    """Field, graph, zone, skeleton, and the potential phase when exposure
+    metrics or Voronoi streets read it.
 
     Raises ScenarioError when the Voronoi band comes out degenerate, or
     when a sparse construction wakes every active node or none.
@@ -319,14 +322,12 @@ def build_world(s: Scenario) -> World:
         sk = build_adaptive_skeleton(g, zone, width=s.width)
 
     phase = None
-    if "exposure" in s.metrics:
-        assert model is not None  # validate() ties exposure to points zones
+    if "exposure" in s.metrics or s.voronoi:
+        assert model is not None  # validate() ties both to points zones
         phase = run_potential_phase(g, sk.active, model)
     active_count = np.count_nonzero(~sk.blocked)
-    if s.voronoi and s.skeleton == "adaptive":
-        tables = phase.distance_tables if phase is not None else None
-        band = detect_voronoi_nodes(
-            g, model.sources, active=sk.active, distance_tables=tables)
+    if s.voronoi:
+        band = detect_voronoi_nodes(phase)
         if band.degenerate:
             raise ScenarioError(
                 f"degenerate Voronoi band: {len(band.nodes)} of "
@@ -445,17 +446,17 @@ def run_query(world: World, index: int, src: int, dst: int) -> MetricsRecord:
     if "path" in s.metrics:
         run = run_bfs_flood(g, sk.search, src)
         pk_sg += run.total_packets
-        res = extract_path(run, dst, g)
+        route = extract_path(run, dst)
         oracle = world.oracle
         hops_full = centralized_bfs(g, oracle, src, target=dst)
         pk_full += int(oracle.component_sizes[oracle.index(src)])
         reach_full = hops_full != INF
-        reach_sg = res.reachable
+        reach_sg = bool(route)
         if reach_full:
             hops_opt = hops_full
-        if res.reachable:
-            hops_sg = float(res.hops)
-        if reach_full and res.reachable:
+        if route:
+            hops_sg = float(len(route) - 1)
+        if reach_full and route:
             if hops_opt > hops_sg * (1 + _RATIO_SLACK):
                 raise InvariantViolation(
                     f"query {index}: full-graph BFS ({hops_opt}) beat the "
@@ -466,13 +467,13 @@ def run_query(world: World, index: int, src: int, dst: int) -> MetricsRecord:
         pot = world.potentials
         run = run_min_exposure(g, sk.search, src, pot)
         pk_sg += run.total_packets
-        res = extract_path(run, dst, g)
+        reached = bool(extract_path(run, dst))
         # dominance puts the optimum within the skeleton's answer plus the
         # check's slack, so the oracle may stop there; an inf at that cap
         # means dominance is broken, and the uncapped search shows by how
         # much
         cap = None
-        if res.reachable:
+        if reached:
             exp_sg = run.value_at(dst)
             cap = exp_sg * (1 + _RATIO_SLACK) + _RATIO_SLACK
         best = centralized_min_exposure(g, world.oracle, src, pot,
@@ -482,10 +483,10 @@ def run_query(world: World, index: int, src: int, dst: int) -> MetricsRecord:
                                             target=dst)
         full_ok = best != INF
         if "path" not in s.metrics:
-            reach_full, reach_sg = full_ok, res.reachable
+            reach_full, reach_sg = full_ok, reached
         if full_ok:
             exp_opt = best
-        if full_ok and res.reachable:
+        if full_ok and reached:
             if exp_opt > cap:
                 raise InvariantViolation(
                     f"query {index}: full-graph exposure ({exp_opt}) beat "

@@ -138,12 +138,15 @@ def attach_offstreet_endpoints(graph: CommGraph, sk: SkeletonGraph,
     contains an awake node, then the hop path to the nearest one joins as
     connectors; the source must lie outside the danger region.  An
     off-street destination is served by flooding its enclosing street cell,
-    so every node of that cell joins.  On-street endpoints cost nothing.
+    so every node of that cell joins.  On-street endpoints cost nothing,
+    and when both are on the street the skeleton itself is returned.
     """
     if not 0 <= dst < graph.n:
         raise ValueError(f"destination {dst} is not a node")
     if not 0 <= src < graph.n or sk.blocked[src]:
         raise ValueError(f"source {src} is not active")
+    if sk.awake[src] and sk.awake[dst]:
+        return AttachResult(sk, 0, True, True)
     packets = 0
     connectors = np.zeros(graph.n, dtype=bool)
     src_ok = True

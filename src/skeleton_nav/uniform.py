@@ -82,13 +82,11 @@ def street_line_positions(side: float, separation: float,
 class UniformGeometry:
     """Street lines of a built uniform skeleton; answers cell lookups."""
 
-    lines_x: tuple[float, ...]
-    lines_y: tuple[float, ...]
-    width: float
+    lines: tuple[float, ...]  # both axes: the grid's shift is diagonal
 
     def enclosing_cell(self, x: float, y: float) -> tuple[float, float, float, float]:
-        x0, x1 = _bracket(self.lines_x, x)
-        y0, y1 = _bracket(self.lines_y, y)
+        x0, x1 = _bracket(self.lines, x)
+        y0, y1 = _bracket(self.lines, y)
         return x0, y0, x1, y1
 
 
@@ -165,10 +163,10 @@ def prune_street(graph: CommGraph, street: np.ndarray,
     a, b = endpoints
     if not (street[a] and street[b]):
         raise ValueError("endpoints must belong to the street")
-    path = extract_path(run_bfs_flood(graph, street, a), b, graph)
-    if not path.reachable:
+    route = extract_path(run_bfs_flood(graph, street, a), b)
+    if not route:
         return street, False
-    return node_mask(graph.n, path.nodes), True
+    return node_mask(graph.n, route), True
 
 
 def build_uniform_skeleton(graph: CommGraph, zone: DangerZone | None,
@@ -177,25 +175,22 @@ def build_uniform_skeleton(graph: CommGraph, zone: DangerZone | None,
     fld = graph.field
     s, w = cfg.validate(fld.n, fld.radio_range)
     half = w / 2.0
-    # the shift is diagonal, so both axes share one set of line positions
-    lines_x = street_line_positions(fld.side, s, cfg.shift)
-    lines_y = lines_x
+    lines = street_line_positions(fld.side, s, cfg.shift)
 
     pos = fld.positions
     blocked = zone_node_mask(zone, pos)
-    grid = (_near_line(pos[:, 0], lines_x, half)
-            | _near_line(pos[:, 1], lines_y, half)) & ~blocked
+    grid = (_near_line(pos[:, 0], lines, half)
+            | _near_line(pos[:, 1], lines, half)) & ~blocked
     if cfg.prune:
-        grid = _pruned_grid(graph, pos, lines_x, lines_y, half, grid)
+        grid = _pruned_grid(graph, pos, lines, half, grid)
     tags = tagged(grid, Provenance.GRID_STREET)
     if zone is not None and zone.kind == "region":
         perimeter = build_perimeter_streets(graph, zone, w)
         tags[perimeter & ~grid & ~blocked] = Provenance.PERIMETER_STREET.tag
 
-    geometry = UniformGeometry(lines_x=tuple(lines_x), lines_y=tuple(lines_y),
-                               width=w)
     return SkeletonGraph(graph=graph, tags=tags, blocked=blocked,
-                         construction="uniform", geometry=geometry)
+                         construction="uniform",
+                         geometry=UniformGeometry(lines=tuple(lines)))
 
 
 def _near_line(coord: np.ndarray, lines: list[float],
@@ -227,11 +222,11 @@ def _near_line(coord: np.ndarray, lines: list[float],
     return out
 
 
-def _pruned_grid(graph: CommGraph, pos: np.ndarray, lines_x, lines_y,
-                 half: float, grid: np.ndarray) -> np.ndarray:
+def _pruned_grid(graph: CommGraph, pos: np.ndarray, lines, half: float,
+                 grid: np.ndarray) -> np.ndarray:
     """Per-street shortest-path thinning; unprunable streets stay as-is."""
     kept = np.zeros_like(grid)
-    for axis, lines in ((0, lines_x), (1, lines_y)):
+    for axis in (0, 1):
         other = pos[:, 1 - axis]
         for line in lines:
             strip = grid & (np.abs(pos[:, axis] - line) <= half)

@@ -57,6 +57,8 @@ def test_scenario_validation_errors():
         dict(metrics=("exposure",)),               # needs a points zone
         dict(voronoi=True),                        # needs a points zone
         dict(zone_kind="points", danger_count=1, voronoi=True),
+        dict(zone_kind="points", skeleton="uniform", voronoi=True),
+        dict(zone_kind="points", skeleton="full", voronoi=True),
         dict(width=0.0),
         dict(epsilon=0.0),
         dict(epsilon=0.5),
@@ -165,6 +167,17 @@ def test_build_world_constructions():
     assert ada.potentials is not None
     assert ada.potential_packets > 0
     assert (ada.skeleton.tags == Provenance.VORONOI_EDGE.tag).any()
+
+
+def test_voronoi_worlds_share_the_potential_floods():
+    # the band is read off the potential phase, which runs whether or not
+    # the queries measure exposure
+    s = Scenario(n=1024, seed=3, zone_kind="points", danger_count=3,
+                 danger_seed=7, skeleton="adaptive", voronoi=True)
+    path = build_world(s)
+    exposure = build_world(replace(s, metrics=("exposure",)))
+    assert np.array_equal(path.skeleton.tags, exposure.skeleton.tags)
+    assert path.potential_packets == exposure.potential_packets > 0
 
 
 def test_sample_queries_snap_to_streets():
@@ -635,6 +648,6 @@ def test_offstreet_source_floods_the_attached_skeleton():
     assert rec.packets_attach == attach.packets
     assert rec.reachable_sg
     assert rec.packets_sg == flood.total_packets
-    assert rec.hops_sg == extract_path(flood, dst, g).hops
+    assert rec.hops_sg == len(extract_path(flood, dst)) - 1
     assert sk.search is base_search
     assert attach.skeleton.search is not base_search

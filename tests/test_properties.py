@@ -259,13 +259,13 @@ def test_local_floods_equal_n_sized_floods(inst, order_seed):
     assert lines == expect_lines
     # the local parent walk follows the n-length parent list
     dst = int(rng.integers(g.n))
-    res = extract_path(run, dst, g)
-    assert res.reachable == (run.value[dst] != INF)
-    if res.reachable:
+    route = extract_path(run, dst)
+    assert bool(route) == (run.value[dst] != INF)
+    if route:
         chain = [dst]
         while chain[-1] != src:
             chain.append(run.parent[chain[-1]])
-        assert res.nodes == tuple(reversed(chain))
+        assert route == tuple(reversed(chain))
     pot = potentials(rng, g.n)
     lines, expect_lines = [], []
     run = run_min_exposure(g, search, src, pot, trace=lines.append)
@@ -425,7 +425,7 @@ def grid_street_cases(draw):
 def test_grid_streets_equal_distance_to_every_line(case):
     g, zone, cfg, lines, half = case
     sk = build_uniform_skeleton(g, zone, cfg)
-    assert list(sk.geometry.lines_x) == lines
+    assert list(sk.geometry.lines) == lines
     grid = sk.tags == Provenance.GRID_STREET.tag
     assert np.array_equal(grid, reference_grid_streets(g, zone, lines, half))
 
@@ -607,7 +607,7 @@ def numbered_outcomes(g, active, awake, src, dst, pot):
                        blocked=~active, construction="uniform")
     att = attach_offstreet_endpoints(g, sk, src, dst)
     return ([_run_fields(r) + (r.total_packets,) for r in runs], lines,
-            [extract_path(r, dst, g) for r in runs],
+            [extract_path(r, dst) for r in runs],
             centralized_bfs(g, search, src),
             centralized_bfs(g, search, src, target=dst),
             centralized_min_exposure(g, search, src, pot),

@@ -26,8 +26,10 @@ from skeleton_nav.adaptive import (
     rasterize_region,
     simulate_cluster_retirement,
 )
-from skeleton_nav.danger import DangerZone, perimeter_length, zone_node_mask
-from skeleton_nav.field import generate_field, hop_bfs, nearest_node
+from skeleton_nav.danger import DangerZone, PotentialModel, perimeter_length, \
+    zone_node_mask
+from skeleton_nav.distsim import run_potential_phase
+from skeleton_nav.field import generate_field
 from skeleton_nav.harness import Scenario, build_world, fixture_zone, \
     run_scenario
 from skeleton_nav.skeleton import Provenance, default_street_width
@@ -278,15 +280,21 @@ def test_retirement_message_accounting_without_zone(graph_cache):
     assert np.flatnonzero(ret.awake).tolist() == list(root.members)
 
 
+def voronoi_band(g, sites):
+    """The band read off a potential phase over every node of g."""
+    return detect_voronoi_nodes(
+        run_potential_phase(g, None, PotentialModel(sources=sites)))
+
+
 def test_voronoi_needs_two_sources(graph_cache):
     g = graph_cache(1024, 3.0, 3)
     with pytest.raises(ValueError):
-        detect_voronoi_nodes(g, [(5.0, 5.0)])
+        voronoi_band(g, [(5.0, 5.0)])
 
 
 def test_voronoi_band_splits_symmetric_sources(graph_cache):
     g = graph_cache(1024, 3.0, 3)
-    band = detect_voronoi_nodes(g, [(8.0, 16.0), (24.0, 16.0)])
+    band = voronoi_band(g, [(8.0, 16.0), (24.0, 16.0)])
     assert not band.degenerate
     assert 150 <= len(band.nodes) <= 230  # measured 190
     assert np.array_equal(band.nodes, np.sort(band.nodes))
@@ -299,7 +307,7 @@ def test_voronoi_band_splits_symmetric_sources(graph_cache):
 def test_voronoi_band_tracks_three_site_bisectors(graph_cache):
     g = graph_cache(1024, 3.0, 3)
     sites = np.array([(6.0, 6.0), (26.0, 8.0), (16.0, 26.0)])
-    band = detect_voronoi_nodes(g, sites)
+    band = voronoi_band(g, sites)
     assert not band.degenerate
     gaps = []
     for v in band.nodes:
@@ -313,21 +321,9 @@ def test_voronoi_band_tracks_three_site_bisectors(graph_cache):
     assert float(np.mean(gaps)) <= 2.0
 
 
-def test_voronoi_distance_table_path_is_equivalent(graph_cache):
-    g = graph_cache(1024, 3.0, 3)
-    sites = [(6.0, 6.0), (26.0, 8.0), (16.0, 26.0)]
-    direct = detect_voronoi_nodes(g, sites)
-    tables = []
-    for p in sites:
-        src = nearest_node(g.field, p)
-        tables.append(hop_bfs(g, src)[0])
-    via_tables = detect_voronoi_nodes(g, sites, distance_tables=tables)
-    assert np.array_equal(via_tables.nodes, direct.nodes)
-
-
 def test_collocated_sources_flag_degenerate(graph_cache):
     g = graph_cache(1024, 3.0, 3)
-    band = detect_voronoi_nodes(g, [(10.0, 10.0), (10.0, 10.0)])
+    band = voronoi_band(g, [(10.0, 10.0), (10.0, 10.0)])
     assert band.degenerate
     assert len(band.nodes) == g.n
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -256,7 +257,7 @@ def test_shifted_grids_decorrelate(graph_cache):
 def test_enclosing_cell_brackets_the_point(graph_cache):
     g = graph_cache(1024, 3.0, 2)
     sk = build_uniform_skeleton(g, None, UniformStreetConfig(epsilon=1 / 6))
-    lines = list(sk.geometry.lines_x)
+    lines = list(sk.geometry.lines)
     rng = np.random.default_rng(8)
     for x, y in rng.uniform(0.0, 31.99, size=(50, 2)):
         x0, y0, x1, y1 = sk.geometry.enclosing_cell(float(x), float(y))
@@ -353,6 +354,25 @@ def test_attach_rejects_a_destination_outside_the_nodes(graph_cache):
         with pytest.raises(ValueError, match="not a node"):
             attach_offstreet_endpoints(g, sk, int(np.flatnonzero(sk.awake)[0]),
                                        dst)
+
+
+def test_on_street_attach_allocates_nothing(graph_cache):
+    # both endpoints awake: no n-length mask is built, and the skeleton
+    # itself comes back
+    g = graph_cache(4096, 3.0, 1)
+    sk = build_uniform_skeleton(g, fixture_zone("complex").zone,
+                                UniformStreetConfig(epsilon=1 / 6))
+    src, dst = np.flatnonzero(sk.awake)[[0, -1]].tolist()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        res = attach_offstreet_endpoints(g, sk, src, dst)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < g.n
+    assert res.skeleton is sk
+    assert (res.packets, res.src_attached, res.dst_attached) == (0, True, True)
 
 
 def test_attach_preserves_reachability(graph_cache):
