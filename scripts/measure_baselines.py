@@ -8,7 +8,8 @@ with a margin.  Run a section again before touching a constant:
 
 With no --section the whole sweep runs; the gate-level sections take
 about a minute combined.  The census-scaling section builds worlds up to
-n = 2^20 and prints the process's own peak RSS; the query-scaling section
+n = 2^20 and prints the process's own peak RSS; the retire section times
+the cluster retirement up to n = 2^18; the query-scaling section
 times one query's skeleton flood and hop oracle up to n = 2^18, with the
 nodes the oracle's BFS reaches, and its exposure flood and exposure oracle
 at n = 2^14 and 2^16.  Before the queries it times the one-off builds
@@ -26,7 +27,7 @@ import tracemalloc
 import numpy as np
 
 from skeleton_nav.adaptive import (build_adaptive_skeleton, build_quadtree,
-                                   clusters_at_level, detect_voronoi_nodes,
+                                   detect_voronoi_nodes,
                                    simulate_cluster_retirement)
 from skeleton_nav.danger import (DangerZone, PotentialModel, path_exposure,
                                  perimeter_length, points_in_region,
@@ -34,8 +35,7 @@ from skeleton_nav.danger import (DangerZone, PotentialModel, path_exposure,
 from skeleton_nav.distsim import (centralized_bfs, centralized_min_exposure,
                                   run_bfs_flood, run_min_exposure,
                                   run_potential_phase)
-from skeleton_nav.field import (SensorField, build_comm_graph, generate_field,
-                                hop_bfs)
+from skeleton_nav.field import SensorField, build_comm_graph, generate_field
 from skeleton_nav.harness import (Scenario, auto_tune_epsilon, build_world,
                                   fixture_zone, run_query, run_scenario,
                                   sample_queries, size_census)
@@ -57,8 +57,8 @@ def connectivity_census(n: int, radio_range: float, seeds) -> float:
     and solidly connected by r = 3.
     """
     seeds = list(seeds)
-    hits = sum(INF not in hop_bfs(
-        build_comm_graph(generate_field(n, radio_range, s)), 0)[0]
+    hits = sum(INF not in run_bfs_flood(
+        build_comm_graph(generate_field(n, radio_range, s)), None, 0).value
         for s in seeds)
     return hits / len(seeds)
 
@@ -170,6 +170,31 @@ def section_quadtree():
           "unit segment count:", len(segs))
 
 
+def cluster_recount(pos: np.ndarray, side: int, half: float) -> int:
+    """Messages of the retirement with no zone, counted cell by cell.
+
+    A cell's cluster holds the sensors within `half` of its boundary: the
+    least gap to an edge for a sensor inside, the distance to the square
+    for one outside.  Each member walks the boundary once, and every
+    non-empty cluster below the root notifies its parent.
+    """
+    x, y = pos.T
+    total = 0
+    s = side
+    while s >= 1:
+        for x0 in range(0, side, s):
+            for y0 in range(0, side, s):
+                inner = np.minimum(np.minimum(x - x0, x0 + s - x),
+                                   np.minimum(y - y0, y0 + s - y))
+                outer = np.hypot(np.maximum(np.maximum(x0 - x, x - x0 - s), 0),
+                                 np.maximum(np.maximum(y0 - y, y - y0 - s), 0))
+                members = np.count_nonzero(np.maximum(inner, 0) + outer
+                                           <= half)
+                total += members + (s < side and members > 0)
+        s //= 2
+    return total
+
+
 def section_retire():
     g256 = graph(256, 4)
     g1 = graph(1024, 3)
@@ -188,12 +213,7 @@ def section_retire():
 
     print("== retirement message recount, no zone n=256 ==")
     ret0 = simulate_cluster_retirement(g256, None)
-    expect = 0
-    for level in range(5):
-        cl = clusters_at_level(g256, None, level, 16, 2.0 / 3.0)
-        expect += sum(len(c.members) for c in cl.values())
-        if level < 4:
-            expect += len(cl)
+    expect = cluster_recount(g256.field.positions, 16, 1.0 / 3.0)
     print("messages:", ret0.messages, "recount:", expect,
           "equal:", ret0.messages == expect)
     pos = g256.field.positions
@@ -208,6 +228,18 @@ def section_retire():
                         np.minimum(pos[:, 1], 32 - pos[:, 1]))
     print("equal:", np.array_equal(sk0.awake, margin <= 1.0 / 3.0),
           "size:", sk0.size)
+
+    print("== retirement scaling, complex zone, seed 1 (median of 3) ==")
+    zc = fixture_zone("complex").zone
+    for k in (12, 14, 16, 18):
+        gk = graph(2 ** k, 1)
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            rk = simulate_cluster_retirement(gk, zc)
+            times.append(time.perf_counter() - t0)
+        print(f"n=2^{k}: messages {rk.messages}, awake "
+              f"{np.count_nonzero(rk.awake)}, {np.median(times) * 1e3:.0f} ms")
 
 
 def section_attach():
@@ -281,7 +313,7 @@ def section_traces():
 
     print("== prune sanity, n=256 seed 4 ==")
     g256 = graph(256, 4)
-    d0, _ = hop_bfs(g256, 7)
+    d0 = run_bfs_flood(g256, None, 7).value
     pr, ok = prune_street(g256, np.ones(g256.n, dtype=bool), (7, 101))
     print("ok:", ok, "len:", np.count_nonzero(pr), "bfs dist:", d0[101])
 

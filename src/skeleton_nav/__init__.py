@@ -6,7 +6,6 @@ from .field import (
     SensorField,
     build_comm_graph,
     generate_field,
-    hop_bfs,
     nearest_node,
 )
 from .danger import (
@@ -35,7 +34,6 @@ from .uniform import (
     prune_street,
 )
 from .adaptive import (
-    Cluster,
     Quadtree,
     RetirementResult,
     VoronoiBand,

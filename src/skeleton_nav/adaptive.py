@@ -13,6 +13,12 @@ masks, one per level, each the 2 x 2 OR of the level below, and one table
 of each unit cell's leaf level.  Locating a point's leaf is a clamp, an
 integer cast, one flat table read and a round down to the leaf's corner,
 so the skeleton build locates all sensors at once with array operations.
+
+`simulate_cluster_retirement` charges the skeleton's own construction in
+messages: each cell's cluster of sensors near its boundary checks it for
+danger, bottom-up, and what survives wakes exactly the directly built
+skeleton.  It is one array pass per tree level over the sensors, each
+joining at most the 3 x 3 cells around its own.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import numpy as np
 from .danger import DangerZone, boundary_tolerance, points_in_region, \
     zone_node_mask
 from .distsim import PotentialPhase
-from .field import CommGraph, NodeId
+from .field import CommGraph
 from .skeleton import Provenance, SkeletonGraph, default_street_width, \
     tagged
 
@@ -257,74 +263,6 @@ def build_adaptive_skeleton(graph: CommGraph, zone: DangerZone | None,
 
 
 @dataclass(frozen=True)
-class Cluster:
-    """Sensors within half a street width of one quadtree cell's boundary."""
-
-    level: int
-    ix: int
-    iy: int
-    members: tuple[NodeId, ...]
-
-    @property
-    def leader(self) -> NodeId:
-        return min(self.members)
-
-
-def clusters_at_level(graph: CommGraph, zone: DangerZone | None, level: int,
-                      side: int, width: float) -> dict[tuple[int, int], Cluster]:
-    """All non-empty clusters of the given level over the full grid of cells.
-
-    A sensor can sit near the shared boundary of several cells and then
-    belongs to each of their clusters.
-    """
-    fld = graph.field
-    s = 1 << level
-    cells = side // s
-    half = width / 2.0
-    mask = zone_node_mask(zone, fld.positions)
-    members: dict[tuple[int, int], list[NodeId]] = {}
-
-    def add(ix: int, iy: int, node: NodeId) -> None:
-        if 0 <= ix < cells and 0 <= iy < cells:
-            members.setdefault((ix, iy), []).append(node)
-
-    for i in range(fld.n):
-        if mask[i]:
-            continue
-        x, y = fld.positions[i]
-        ix = min(int(x // s), cells - 1)
-        iy = min(int(y // s), cells - 1)
-        dx0 = x - ix * s
-        dx1 = (ix + 1) * s - x
-        dy0 = y - iy * s
-        dy1 = (iy + 1) * s - y
-        if min(dx0, dx1, dy0, dy1) <= half:
-            add(ix, iy, i)
-        if dx0 <= half:
-            add(ix - 1, iy, i)
-        if dx1 <= half:
-            add(ix + 1, iy, i)
-        if dy0 <= half:
-            add(ix, iy - 1, i)
-        if dy1 <= half:
-            add(ix, iy + 1, i)
-        if math.hypot(dx0, dy0) <= half:
-            add(ix - 1, iy - 1, i)
-        if math.hypot(dx1, dy0) <= half:
-            add(ix + 1, iy - 1, i)
-        if math.hypot(dx0, dy1) <= half:
-            add(ix - 1, iy + 1, i)
-        if math.hypot(dx1, dy1) <= half:
-            add(ix + 1, iy + 1, i)
-
-    return {
-        key: Cluster(level=level, ix=key[0], iy=key[1],
-                     members=tuple(sorted(nodes)))
-        for key, nodes in members.items()
-    }
-
-
-@dataclass(frozen=True)
 class RetirementResult:
     messages: int
     awake: np.ndarray  # bool mask, as `SkeletonGraph.awake`
@@ -334,33 +272,59 @@ def simulate_cluster_retirement(graph: CommGraph, zone: DangerZone | None,
                                 width: float | None = None) -> RetirementResult:
     """Bottom-up cluster retirement over the fully refined tree.
 
-    Every cluster walks its boundary once (one message per member) to check
-    for danger; danger-free clusters send one notification to their parent,
-    and a parent whose four children are danger-free retires them.  What
+    The cluster of a quadtree cell holds the out-of-zone sensors within
+    half a street width of its boundary; the root's also holds those within
+    half a width of the field's top and right borders, which run inside
+    the root where the tree overhangs the field.  Every cluster walks its
+    boundary once (one message per member) to check for danger;
+    danger-free clusters send one notification to their parent, and a
+    parent whose four children are danger-free retires them.  What
     survives is the root cluster plus every cluster whose parent cell is
-    crossed, which matches the directly built adaptive skeleton.
+    crossed; its members are `build_adaptive_skeleton`'s awake set, at any
+    field side.
+
+    Each level is one array pass: a sensor can join only the clusters of
+    its own cell and the 8 around it, and its distance to a neighbour is
+    made of its gaps to its own cell's edges (zero along an axis the two
+    cells share).
     """
     fld = graph.field
     if width is None:
         width = default_street_width(fld.radio_range)
+    half = width / 2.0
     tree = build_quadtree([] if zone is None else zone, fld.side)
-    levels = tree.levels
+    ids = np.flatnonzero(~zone_node_mask(zone, fld.positions))
+    pos = np.ascontiguousarray(fld.positions[ids].T)  # one row per axis
+    step = np.arange(-1, 2)[:, None]
 
     messages = 0
     awake = np.zeros(fld.n, dtype=bool)
-    for level in range(levels + 1):
-        clusters = clusters_at_level(graph, zone, level, tree.side, width)
-        for (ix, iy), cluster in clusters.items():
-            crossed = tree.crossed[level][ix, iy]
-            messages += len(cluster.members)          # boundary walk
-            if not crossed and level < levels:
-                messages += 1                         # notify parent
-            if level == levels:
-                survives = True                       # root has no parent
-            else:
-                survives = tree.crossed[level + 1][ix // 2, iy // 2]
-            if survives:
-                awake[list(cluster.members)] = True
+    for level, crossed in enumerate(tree.crossed):
+        s, cells = 1 << level, len(crossed)
+        # s is a power of two: pos / s is exact, and its floor is pos // s
+        cell = np.minimum(np.floor(pos / s), cells - 1)
+        lo = pos - cell * s                       # gaps to the low edges
+        own = np.minimum(lo, s - lo).min(axis=0)
+        if level == tree.levels:                  # the field's far borders
+            own = np.minimum(own, fld.side - pos.max(axis=0))
+        k = np.flatnonzero(own <= half)           # the rest join no cluster
+        # per axis, the gaps toward the cells below, level with and above:
+        # sensor k[j] joins the cell offset by (a - 1, b - 1) if near[a, b, j]
+        gap = np.stack((lo[:, k], np.zeros((2, k.size)), s - lo[:, k]), axis=1)
+        near = np.hypot(gap[0][:, None], gap[1][None, :]) <= half
+        near[1, 1] = True                         # each k is near its own cell
+        grid = (cell[:, None, k] + step).astype(np.intp)
+        on = (grid >= 0) & (grid < cells)
+        near &= on[0][:, None] & on[1][None, :]
+        a, b, j = np.nonzero(near)
+        mx, my, k = grid[0, a, j], grid[1, b, j], k[j]  # one per membership
+        messages += k.size                        # boundary walks
+        if level < tree.levels:
+            clustered = np.zeros_like(crossed)
+            clustered[mx, my] = True
+            messages += np.count_nonzero(clustered & ~crossed)  # notify
+            k = k[tree.crossed[level + 1][mx >> 1, my >> 1]]
+        awake[ids[k]] = True
     return RetirementResult(messages=messages, awake=awake)
 
 

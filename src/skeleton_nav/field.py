@@ -123,10 +123,6 @@ class CommGraph:
     def n(self) -> int:
         return self.field.n
 
-    def neighbors(self, node: NodeId) -> tuple[NodeId, ...]:
-        return tuple(self.indices[self.indptr[node]:self.indptr[node + 1]]
-                     .tolist())
-
     def edge_count(self) -> int:
         return len(self.indices) // 2
 
@@ -368,6 +364,9 @@ def hop_bfs(graph: CommGraph, source: NodeId,
     `blocked` is a node collection or a boolean mask.  Unreachable nodes
     get distance inf and parent -1.  Among equally close predecessors the
     lowest node id becomes the parent, which keeps reruns byte-identical.
+    The package searches with `distsim.run_bfs_flood` instead, whose
+    `value` and `parent` are these lists; this one stays while the
+    benchmark's tracer (`navbench/tracing.py`) lists it.
     """
     if source < 0 or source >= graph.n:
         raise ValueError(f"source {source} out of range")

@@ -19,8 +19,11 @@ table replaced; `reference_leaf_at` and `reference_adaptive_awake` walk
 it, as the package once did per sensor, with the field border as a
 street.  `reference_grid_streets` measures each sensor's distance to every
 uniform grid line, where the package bins coordinates and brackets the
-few near a line.  `reference_points_in_region` is
-the zone test over every point, before the bounding-box prefilter;
+few near a line.  `reference_cluster_retirement` is the retirement as
+a loop over the sensors of each level, gathering every cell's cluster in
+a dict (`clusters_at_level`), before one array pass per level replaced
+it.  `reference_points_in_region` is the zone test over every point,
+before the bounding-box prefilter;
 `reference_sample_queries` draws query points one at a time and tests each
 alone with it, as the package did before it tested a whole draw at once.
 `reference_perimeter_streets` the perimeter search over the full graph,
@@ -40,7 +43,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
-from skeleton_nav.adaptive import _pow2_side, rasterize_region
+from skeleton_nav.adaptive import _pow2_side, build_quadtree, \
+    rasterize_region
 from skeleton_nav.danger import _EDGE_EPS, DangerZone, boundary_nodes, \
     zone_node_mask
 from skeleton_nav.field import ActiveGraph, CommGraph, NodeId, \
@@ -415,6 +419,82 @@ def reference_adaptive_awake(graph: CommGraph, zone, tree: ReferenceTree,
         if margin <= half:
             awake[i] = True
     return awake
+
+
+def clusters_at_level(graph: CommGraph, zone, level: int, side: int,
+                      width: float) -> dict[tuple[int, int], tuple[NodeId, ...]]:
+    """The sorted members of every non-empty cluster of one level, by cell.
+
+    A sensor outside the zone joins the cluster of each cell whose boundary
+    lies within half a width of it, so near a shared edge or corner it
+    joins several.  The root's cluster also takes the sensors within half
+    a width of the field's top and right borders.
+    """
+    fld = graph.field
+    s = 1 << level
+    cells = side // s
+    half = width / 2.0
+    mask = zone_node_mask(zone, fld.positions)
+    members: dict[tuple[int, int], list[NodeId]] = {}
+
+    def add(ix: int, iy: int, node: NodeId) -> None:
+        if 0 <= ix < cells and 0 <= iy < cells:
+            members.setdefault((ix, iy), []).append(node)
+
+    for i in range(fld.n):
+        if mask[i]:
+            continue
+        x, y = fld.positions[i]
+        ix = min(int(x // s), cells - 1)
+        iy = min(int(y // s), cells - 1)
+        dx0 = x - ix * s
+        dx1 = (ix + 1) * s - x
+        dy0 = y - iy * s
+        dy1 = (iy + 1) * s - y
+        border = fld.side - max(x, y) if cells == 1 else INF
+        if min(dx0, dx1, dy0, dy1, border) <= half:
+            add(ix, iy, i)
+        if dx0 <= half:
+            add(ix - 1, iy, i)
+        if dx1 <= half:
+            add(ix + 1, iy, i)
+        if dy0 <= half:
+            add(ix, iy - 1, i)
+        if dy1 <= half:
+            add(ix, iy + 1, i)
+        if math.hypot(dx0, dy0) <= half:
+            add(ix - 1, iy - 1, i)
+        if math.hypot(dx1, dy0) <= half:
+            add(ix + 1, iy - 1, i)
+        if math.hypot(dx0, dy1) <= half:
+            add(ix - 1, iy + 1, i)
+        if math.hypot(dx1, dy1) <= half:
+            add(ix + 1, iy + 1, i)
+    return {key: tuple(sorted(nodes)) for key, nodes in members.items()}
+
+
+def reference_cluster_retirement(graph: CommGraph, zone, width: float
+                                 ) -> tuple[int, np.ndarray]:
+    """Messages and awake mask of the retirement, one cluster at a time.
+
+    Every cluster walks its boundary (one message per member), every
+    danger-free one below the root notifies its parent, and the root's
+    cluster and those under a crossed parent stay awake.
+    """
+    fld = graph.field
+    tree = build_quadtree([] if zone is None else zone, fld.side)
+    levels = tree.levels
+    messages = 0
+    awake = np.zeros(fld.n, dtype=bool)
+    for level in range(levels + 1):
+        clusters = clusters_at_level(graph, zone, level, tree.side, width)
+        for (ix, iy), members in clusters.items():
+            messages += len(members)                  # boundary walk
+            if not tree.crossed[level][ix, iy] and level < levels:
+                messages += 1                         # notify parent
+            if level == levels or tree.crossed[level + 1][ix // 2, iy // 2]:
+                awake[list(members)] = True
+    return messages, awake
 
 
 def reference_grid_streets(graph: CommGraph, zone, lines,

@@ -2,8 +2,8 @@
 
 Small random fields, including short radio ranges that split the graph into
 isolated components, random active masks, and potentials with zeros.
-`hop_bfs` (distances and lowest-id parents around blocked nodes) and the
-csgraph oracles must match `reference_oracles` exactly.
+The hop flood (distances and lowest-id parents around inactive nodes) and
+the csgraph oracles must match `reference_oracles` exactly.
 Depth recovery from the csgraph BFS order is also checked on long paths and
 grids, whose many levels give many level boundaries, and skeleton floods on
 a cached search graph must equal floods given the awake node set.  The
@@ -12,7 +12,10 @@ node, a drawn set or the source alone; the hop oracle's answer for one
 target must equal its full list, and a capped exposure oracle must equal
 the uncapped one wherever the cap reaches.  The quadtree's unit-cell leaf
 table must locate leaves and wake sensors exactly as the tree walk and the
-per-sensor loop do, and the uniform grid streets, found through a unit-bin
+per-sensor loop do.  The cluster retirement, one array pass per tree
+level, must charge the messages and wake the sensors that the loop over
+clusters does, and wake the directly built skeleton, on fields whose side
+is seldom a power of two.  The uniform grid streets, found through a unit-bin
 table, must be the sensors within half a width of some line.  The zone
 test's bounding-box prefilter must keep every mask bit, and perimeter streets searched on a
 boundary band must equal the search on the full graph.  The attach step,
@@ -47,19 +50,20 @@ from reference_oracles import centralized_bfs as reference_centralized_bfs
 from reference_oracles import centralized_min_exposure as \
     reference_min_exposure
 from reference_oracles import reference_adaptive_awake, reference_attach, \
-    reference_bfs, \
-    reference_bfs_flood, reference_component_labels, reference_csr, \
+    reference_bfs, reference_bfs_flood, reference_cluster_retirement, \
+    reference_component_labels, reference_csr, \
     reference_grid_streets, reference_leaf_at, \
     reference_min_exposure_flood, reference_perimeter_streets, \
     reference_points_in_region, reference_quadtree, reference_space_order
-from skeleton_nav.adaptive import build_adaptive_skeleton, build_quadtree
+from skeleton_nav.adaptive import build_adaptive_skeleton, build_quadtree, \
+    simulate_cluster_retirement
 from skeleton_nav.danger import _EDGE_EPS, DangerZone, points_in_region, \
     zone_node_mask
 from skeleton_nav.distsim import INF, active_graph, centralized_bfs, \
     centralized_min_exposure, extract_path, run_bfs_flood, run_min_exposure
 import skeleton_nav.field
 from skeleton_nav.field import CommGraph, SensorField, build_comm_graph, \
-    generate_field, hop_bfs, hop_distances, node_mask, space_order, spread
+    generate_field, hop_distances, node_mask, space_order, spread
 from skeleton_nav.harness import Scenario, ScenarioError, \
     _main_street_component, build_world, fixture_zone
 from skeleton_nav.skeleton import Provenance, SkeletonGraph, \
@@ -106,7 +110,7 @@ def test_hop_oracle_equals_reference(inst):
 def test_exposure_oracle_equals_reference(inst, isolate):
     g, active, src, rng = inst
     if isolate:  # the source hears no active neighbour
-        active[list(g.neighbors(src))] = False
+        active[list(g.adj[src])] = False
     other = int(rng.choice(np.flatnonzero(active)))
     pot = potentials(rng, g.n)
     members = frozenset(np.flatnonzero(active).tolist())
@@ -165,20 +169,26 @@ def shaped_instances(draw):
     source = int(rng.integers(g.n))
     active[source] = True
     if draw(st.integers(0, 4)) == 0:
-        active[list(g.neighbors(source))] = False  # an isolated source
+        active[list(g.adj[source])] = False  # an isolated source
     return g, active, source, rng
+
+
+def hops(g, active, src):
+    """Hop distances and parents of a flood, over all n nodes."""
+    run = run_bfs_flood(g, active, src)
+    return run.value, run.parent
 
 
 @EXAMPLES
 @given(shaped_instances())
 def test_kernel_equals_reference_loop(inst):
-    # hop_bfs: distances and lowest-id parents, with the inactive nodes
-    # blocked (as a mask and as a set) and with nothing blocked
+    # the hop flood: distances and lowest-id parents over the active nodes
+    # (as a mask and as a set) and over every node
     g, active, src, _ = inst
     expect = reference_bfs(g, [src], active)
-    assert hop_bfs(g, src, ~active) == expect
-    assert hop_bfs(g, src, set(np.flatnonzero(~active).tolist())) == expect
-    assert hop_bfs(g, src) == reference_bfs(g, [src])
+    assert hops(g, active, src) == expect
+    assert hops(g, set(np.flatnonzero(active).tolist()), src) == expect
+    assert hops(g, None, src) == reference_bfs(g, [src])
 
 
 @EXAMPLES
@@ -379,6 +389,40 @@ def test_leaf_table_equals_tree_walk(case):
     for x, y in g.field.positions.tolist():
         got, leaf = tree.leaf_at(x, y), reference_leaf_at(ref, x, y)
         assert (got.x0, got.y0, got.size) == (leaf.x0, leaf.y0, leaf.size)
+
+
+RETIREMENTS = settings(max_examples=20, deadline=None)
+
+
+@st.composite
+def retirement_cases(draw):
+    """A field of 200 to 1200 sensors, whose side is seldom a power of two,
+    so the tree mostly overhangs it; a zone (none, a region or drawn danger
+    points) and a street width from 0.5 to 3."""
+    n = draw(st.integers(200, 1200))
+    fld = generate_field(n, 3.0, draw(st.integers(0, 2**16)))
+    kind = draw(st.sampled_from(("none", "simple", "complex", "points")))
+    if kind == "none":
+        zone = None
+    elif kind == "points":
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        zone = DangerZone.point_set(
+            rng.uniform(0.0, fld.side, size=(int(rng.integers(1, 6)), 2)))
+    else:
+        zone = fixture_zone(kind).zone
+    return build_comm_graph(fld), zone, draw(st.floats(0.5, 3.0))
+
+
+@RETIREMENTS
+@given(retirement_cases())
+def test_retirement_equals_cluster_loop(case):
+    g, zone, width = case
+    ret = simulate_cluster_retirement(g, zone, width)
+    messages, awake = reference_cluster_retirement(g, zone, width)
+    assert ret.messages == messages
+    assert np.array_equal(ret.awake, awake)
+    assert np.array_equal(ret.awake,
+                          build_adaptive_skeleton(g, zone, width=width).awake)
 
 
 @st.composite
@@ -632,7 +676,7 @@ def test_searches_do_not_depend_on_node_numbering(inst, share, ring,
     if ring:
         # every street node `ring` hops from the source: the attach ring
         # finds several equally near ones, on different chains
-        awake &= np.array(hop_bfs(g, src, ~active)[0]) == ring
+        awake &= np.array(run_bfs_flood(g, active, src).value) == ring
     else:
         off = np.flatnonzero(active & ~awake)
         if off.size:

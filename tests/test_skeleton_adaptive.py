@@ -13,14 +13,12 @@ import math
 import numpy as np
 import pytest
 
-from reference_oracles import reference_adaptive_awake, reference_leaf_at, \
-    reference_quadtree
+from reference_oracles import clusters_at_level, reference_adaptive_awake, \
+    reference_leaf_at, reference_quadtree
 from skeleton_nav.adaptive import (
-    Cluster,
     QuadCell,
     build_adaptive_skeleton,
     build_quadtree,
-    clusters_at_level,
     detect_voronoi_nodes,
     embed_voronoi_streets,
     rasterize_region,
@@ -236,20 +234,18 @@ def test_fixture_skeleton_wakes_leaf_margins(graph_cache):
                           reference_adaptive_awake(g, zone, tree, 2.0 / 3.0))
 
 
-def test_cluster_membership_and_leaders(graph_cache):
+def test_cluster_membership(graph_cache):
     g = graph_cache(256, 3.0, 3)
     table = clusters_at_level(g, None, 2, 16, 2.0)
     assert table
     seen_in = {}
-    for (ix, iy), cluster in table.items():
+    for (ix, iy), members in table.items():
         assert 0 <= ix < 4 and 0 <= iy < 4
-        assert cluster.leader == min(cluster.members)
-        assert cluster.members == tuple(sorted(cluster.members))
-        for v in cluster.members:
+        assert members == tuple(sorted(members))
+        for v in members:
             seen_in.setdefault(v, []).append((ix, iy))
     # near a shared cell corner a sensor belongs to several clusters
     assert any(len(cells) >= 2 for cells in seen_in.values())
-    assert Cluster(level=0, ix=0, iy=0, members=(5, 3, 9)).leader == 3
 
 
 def test_retirement_matches_direct_construction(graph_cache):
@@ -272,12 +268,12 @@ def test_retirement_message_accounting_without_zone(graph_cache):
     expect = 0
     for level in range(5):
         table = clusters_at_level(g, None, level, 16, 2.0 / 3.0)
-        expect += sum(len(c.members) for c in table.values())
+        expect += sum(map(len, table.values()))
         if level < 4:
             expect += len(table)
     assert ret.messages == expect
     root = clusters_at_level(g, None, 4, 16, 2.0 / 3.0)[(0, 0)]
-    assert np.flatnonzero(ret.awake).tolist() == list(root.members)
+    assert np.flatnonzero(ret.awake).tolist() == list(root)
 
 
 def voronoi_band(g, sites):

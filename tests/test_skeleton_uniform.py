@@ -17,7 +17,8 @@ import pytest
 from scipy.sparse.csgraph import connected_components
 
 from skeleton_nav.danger import DangerZone, boundary_nodes, zone_node_mask
-from skeleton_nav.field import hop_bfs, node_mask
+from skeleton_nav.distsim import run_bfs_flood
+from skeleton_nav.field import node_mask
 from skeleton_nav.harness import fixture_zone
 from skeleton_nav.skeleton import (
     Provenance,
@@ -202,7 +203,7 @@ def test_prune_street_finds_shortest_path(graph_cache):
     street = np.ones(g.n, dtype=bool)
     pruned, ok = prune_street(g, street, (7, 101))
     assert ok
-    dist, _ = hop_bfs(g, 7)
+    dist = run_bfs_flood(g, None, 7).value
     assert np.count_nonzero(pruned) == dist[101] + 1
     assert pruned[7] and pruned[101]
     # the kept nodes really form one path: go hop by hop from 7
@@ -394,7 +395,7 @@ def test_attach_preserves_reachability(graph_cache):
         a, b = (int(v) for v in rng.choice(active, size=2, replace=False))
         res = attach_offstreet_endpoints(g, sk, a, b)
         attached += res.packets > 0
-        dist_sk, _ = hop_bfs(g, a, ~res.skeleton.awake)
-        dist_full, _ = hop_bfs(g, a, sk.blocked)
-        assert (dist_sk[b] != math.inf) == (dist_full[b] != math.inf)
+        dist_sk = run_bfs_flood(g, res.skeleton.awake, a).value_at(b)
+        dist_full = run_bfs_flood(g, ~sk.blocked, a).value_at(b)
+        assert (dist_sk != math.inf) == (dist_full != math.inf)
     assert attached > 0
