@@ -10,9 +10,10 @@ With no --section the whole sweep runs; the gate-level sections take
 about a minute combined.  The census-scaling section builds worlds up to
 n = 2^20 and prints the process's own peak RSS; the retire section times
 the cluster retirement up to n = 2^18; the query-scaling section
-times one query's skeleton flood and hop oracle up to n = 2^18, with the
-nodes the oracle's BFS reaches, and its exposure flood and exposure oracle
-at n = 2^14 and 2^16.  Before the queries it times the one-off builds
+times one query's skeleton flood, targeted hop oracle and full hop table
+up to n = 2^18, with the size of the source's oracle component (what a
+full flood is charged), and its exposure flood and exposure oracle at
+n = 2^14 and 2^16.  Before the queries it times the one-off builds
 (comm graph, oracle graph, component labels) with each one's
 tracemalloc peak and the process's peak RSS after it.
 """
@@ -544,15 +545,19 @@ def section_query_scaling():
               f"labels {one_off(lambda: world.oracle.component_sizes)}")
         pairs = sample_queries(world)
         search, oracle = world.skeleton.search, world.oracle
-        reached = np.mean([oracle.component_sizes[oracle.index(a)]
-                           for a, _ in pairs])
+        component = np.mean([oracle.component_sizes[oracle.index(a)]
+                             for a, _ in pairs])
         flood = per_query_ms(lambda a, b: run_bfs_flood(g, search, a), pairs)
         hops = per_query_ms(
             lambda a, b: centralized_bfs(g, oracle, a, target=b), pairs)
+        # the full table, which the oracle-equivalence gate reads
+        table = per_query_ms(lambda a, b: centralized_bfs(g, oracle, a),
+                             pairs)
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         print(f"n=2^{k}: awake {world.skeleton.size}, skeleton flood "
-              f"{flood:.3f} ms, hop oracle {hops:.3f} ms per query; oracle "
-              f"BFS reaches {reached:.0f} nodes; peak RSS so far "
+              f"{flood:.3f} ms, hop oracle {hops:.3f} ms, full hop table "
+              f"{table:.3f} ms per query; oracle component (a full flood's "
+              f"charge) {component:.0f} nodes; peak RSS so far "
               f"{peak:.0f} MB")
         del world, g, search, oracle
 

@@ -14,16 +14,16 @@ graph's local ids: their state is k-length for a set of k nodes, and a
 `SimRun` keeps it, building the n-length `value`, `parent` and
 `transmissions` lists only when they are read; `extract_path` walks the
 local parents and returns the route's node ids.  Trace lines name nodes by
-node id.  The hop flood, the hop oracle and the potential phase read hop
-distances off one csgraph BFS order (`field.hop_distances`), whose cost
+node id.  The hop flood, the hop oracle's table and the potential phase read
+hop distances off one csgraph BFS order (`field.hop_distances`), whose cost
 follows the edges the search reaches; the flood takes each node's lowest-id
 parent from its induced row (`field.lowest_parents`).  The potential phase
-keeps the search graph it flooded beside its per-source hop tables, and
-the Voronoi band (`adaptive.detect_voronoi_nodes`) is read off them, so a
-world floods from each danger source once.  The exposure flood runs each
-round as a few array steps over the frontier's rows of the search graph's
-CSR arrays, and its oracle is csgraph's Dijkstra on weights gathered over
-the same index arrays, with the source's potential folded into its row.
+keeps the search graph it flooded beside its per-source hop tables, and the
+Voronoi band (`adaptive.detect_voronoi_nodes`) is read off them, so a world
+floods from each danger source once.  The exposure flood runs each round as
+a few array steps over the frontier's rows of the search graph's CSR arrays,
+and its oracle is csgraph's Dijkstra on weights gathered over the same index
+arrays, with the source's potential folded into its row.
 
 Node order: over part of the network a search graph's local ids follow
 space order (see `field`), its rows list neighbours by node id, and every
@@ -32,9 +32,9 @@ exposure flood's parents and both floods' trace order compare node ids,
 so no result depends on the numbering.
 
 Both oracles return the full n-length table by default.  Given a `target`
-they answer for that node alone: the hop oracle counts hops up the BFS
-predecessor chain, and the exposure oracle also takes a `limit` at which
-Dijkstra stops.
+they answer for that node alone: the hop oracle grows two balls, from the
+source and from the target, until they touch (`field.hops_between`), and
+the exposure oracle also takes a `limit` at which Dijkstra stops.
 """
 
 from __future__ import annotations
@@ -47,11 +47,12 @@ from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, dijkstra
+from scipy.sparse.csgraph import dijkstra
 
 from .danger import PotentialModel, potential_of_distance
 from .field import ActiveGraph, CommGraph, NodeId, active_graph, \
-    hop_distances, lowest_parents, nearest_node, row_runs, spread
+    hop_distances, hops_between, lowest_parents, nearest_node, row_runs, \
+    spread
 
 INF = math.inf
 
@@ -277,29 +278,20 @@ def extract_path(run: SimRun, destination: NodeId) -> tuple[NodeId, ...]:
 
 def centralized_bfs(graph: CommGraph, active, source: NodeId, *,
                     target: NodeId | None = None) -> list[float] | float:
-    """Reference hop distances, oracle for the flood (csgraph BFS).
+    """Reference hop distances, oracle for the flood.
 
     `active` is a node set (None: every node) or an `ActiveGraph`; the
     source must be active.  Without a target the result is the list over
-    all n nodes.  With one it is the hop distance to the target alone (inf:
-    unreached), read off the BFS predecessor chain one hop per step, with
-    no per-level depth recovery and no list.
+    all n nodes, from one csgraph BFS.  With one it is the hop distance to
+    the target alone (inf: unreached), from a meet-in-the-middle search
+    (`field.hops_between`) whose two balls each reach about half way.
     """
     search, s = _search_graph(graph, active, source, target)
     if target is None:
         return spread(search.ids, hop_distances(search, s), graph.n, INF)
     if not search.mask[target]:
         return INF
-    _, pred = breadth_first_order(search.matrix, s, directed=True,
-                                  return_predecessors=True)
-    node = search.index(target)
-    hops = 0
-    while node != s:
-        node = int(pred[node])
-        if node < 0:
-            return INF
-        hops += 1
-    return float(hops)
+    return hops_between(search, s, search.index(target))
 
 
 def centralized_min_exposure(graph: CommGraph, active, source: NodeId,

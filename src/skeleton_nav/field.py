@@ -10,19 +10,19 @@ The graph is stored as CSR arrays, built the first time a neighbour is
 asked for: a world whose skeleton needs only positions (a size census) never
 builds them.  The build sorts its row-column keys in the k-d tree's own
 pair buffer, so it holds little beyond the pairs and the finished arrays.
-Every hop search runs on scipy's `csgraph` over an
-`ActiveGraph`, which relabels a node set of k nodes to local ids 0..k-1 and
-holds its k x k induced matrix, built once from the members' CSR rows and
-reused.  A search over it takes and returns local ids and allocates k-length
-arrays, so a search over a skeleton costs time in proportion to the
-skeleton, not to n.  `hop_distances` reads hop depths off one
-`breadth_first_order`, and `lowest_parents` gives each reached node its
-lowest-id neighbour one level up, the parent a synchronous flood gives.
-Searches from several sources or to a capped depth (perimeter streets) are
-one `dijkstra` call on the same matrix.  Every search graph is symmetric,
-being induced from the undirected comm graph, so its connected components
-are found as strong components, on the matrix as it is.  Callers that need
-a table over all n nodes spread the local one once.
+Every hop search runs over an `ActiveGraph`, which relabels a node set of k
+nodes to local ids 0..k-1 and holds its k x k induced matrix, built once
+from the members' CSR rows and reused.  A search over it takes and returns
+local ids and allocates k-length arrays, so a search over a skeleton costs
+time in proportion to the skeleton, not to n.  `hop_distances` reads hop
+depths off one `breadth_first_order`, and `lowest_parents` gives each
+reached node its lowest-id neighbour one level up, the parent a synchronous
+flood gives.  Searches from several sources or to a capped depth (perimeter
+streets) are one `dijkstra` call on the same matrix.  All run on scipy's
+`csgraph` but `hops_between`, a numpy loop that stops where two balls meet.
+Every search graph is symmetric, being induced from the undirected comm
+graph, so its connected components are strong components, found on the
+matrix as it is.  Callers needing a table over all n spread the local one.
 
 Node order: over part of the network, local ids follow space order (strips
 one radio range high, by x within a strip), so a search that sweeps the
@@ -354,6 +354,33 @@ def lowest_parents(search: ActiveGraph, dist: np.ndarray) -> np.ndarray:
     parent = np.full(dist.size, -1, dtype=np.int64)
     parent[rows[first]] = senders[first]
     return parent
+
+
+def hops_between(search: ActiveGraph, s: int, t: int) -> float:
+    """Hop distance between local ids s and t (inf: different components).
+
+    Meet in the middle (Pohl 1971): the smaller of the frontiers from s and
+    t grows a level, tagging what it reaches with its side, until its rows
+    touch the other side (distance: the radii plus 1) or it empties."""
+    if s == t:
+        return 0.0
+    mat = search.matrix
+    side, slot = np.zeros(search.ids.size, np.int8), np.empty_like(search.ids)
+    side[s], side[t] = 1, -1
+    fronts, radii = [np.array([s]), np.array([t])], [0, 0]
+    while fronts[0].size and fronts[1].size:
+        i = int(fronts[1].size < fronts[0].size)
+        nbrs = row_runs(mat.indptr, mat.indices, fronts[i])[1]
+        seen = side.take(nbrs)
+        if (seen == 2 * i - 1).any():  # a node of the other side
+            return float(radii[0] + radii[1] + 1)
+        new = nbrs[seen == 0]
+        pos = np.arange(new.size)
+        slot[new] = pos  # each node's last copy keeps its slot: no sort
+        fronts[i] = new[slot.take(new) == pos]
+        side[fronts[i]] = 1 - 2 * i
+        radii[i] += 1
+    return INF
 
 
 def hop_bfs(graph: CommGraph, source: NodeId,

@@ -26,6 +26,7 @@ from skeleton_nav.distsim import (
 )
 from skeleton_nav.field import SensorField, build_comm_graph, \
     generate_field, node_mask
+from skeleton_nav.harness import Scenario, build_world
 
 from reference_oracles import reference_min_exposure_flood
 
@@ -130,6 +131,44 @@ def test_oracle_target_outside_the_nodes_rejected():
             centralized_bfs(g, None, 0, target=target)
         with pytest.raises(ValueError, match="not a node"):
             centralized_min_exposure(g, None, 0, [1.0] * g.n, target=target)
+
+
+def test_hop_oracle_target_on_the_tiny_graph(tiny_graph):
+    # 0 to itself, one hop and two hops; then an isolated source, whose
+    # search empties its frontier, and a target outside the active set
+    cases = ((None, {0: 0.0, 1: 1.0, 2: 2.0}), ({0, 2, 3}, {2: INF, 1: INF}))
+    for active, expected in cases:
+        for form in (active, active_graph(tiny_graph, active)):
+            for dst, hops in expected.items():
+                assert centralized_bfs(tiny_graph, form, 0, target=dst) == \
+                    hops, (active, dst)
+
+
+def test_hop_oracle_target_equals_the_full_list_at_scale():
+    # the gates' n = 4096, seed 5 field and complex zone: the out-of-zone
+    # oracle, with in-zone targets that read inf, and the default-width
+    # adaptive skeleton (490 nodes in 30 components on long thin streets),
+    # which takes deep levels and answers across components
+    world = build_world(Scenario(n=4096, seed=5, zone_kind="complex",
+                                 skeleton="adaptive", queries=0))
+    g, oracle, search = world.graph, world.oracle, world.skeleton.search
+    assert np.unique(search.component_labels).size > 1
+    rng = np.random.default_rng(21)
+    in_zone = np.flatnonzero(~world.active)
+    for graph_search, targets in ((oracle, np.arange(g.n)),
+                                  (search, search.ids)):
+        answers = []
+        for src in rng.choice(graph_search.ids, 20, replace=False).tolist():
+            full = centralized_bfs(g, graph_search, src)
+            dsts = rng.choice(targets, 25, replace=False).tolist()
+            if graph_search is oracle:
+                dsts[:3] = rng.choice(in_zone, 3, replace=False).tolist()
+            for dst in dsts:
+                answers.append(centralized_bfs(g, graph_search, src,
+                                               target=dst))
+                assert answers[-1] == full[dst], (src, dst)
+        finite = [hops for hops in answers if hops < INF]
+        assert len(finite) < len(answers) and max(finite) >= 15
 
 
 def test_bfs_trace_is_frozen(tiny_graph):
