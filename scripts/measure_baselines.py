@@ -12,10 +12,10 @@ n = 2^20 and prints the process's own peak RSS; the retire section times
 the cluster retirement up to n = 2^18; the query-scaling section
 times one query's skeleton flood, targeted hop oracle and full hop table
 up to n = 2^18, with the size of the source's oracle component (what a
-full flood is charged), and its exposure flood and exposure oracle at
-n = 2^14 and 2^16.  Before the queries it times the one-off builds
-(comm graph, oracle graph, component labels) with each one's
-tracemalloc peak and the process's peak RSS after it.
+full flood is charged), and its exposure flood (with its parents unread,
+then read) and exposure oracle at n = 2^14 and 2^16.  Before the queries
+it times the one-off builds (comm graph, oracle graph, component labels)
+with each one's tracemalloc peak and the process's peak RSS after it.
 """
 from __future__ import annotations
 
@@ -579,12 +579,16 @@ def section_query_scaling():
                 for (a, b), run in zip(pairs, runs)}
         flood = per_query_ms(
             lambda a, b: run_min_exposure(g, search, a, pot), pairs)
+        # parents are derived on first read: the same flood with one read
+        read = per_query_ms(
+            lambda a, b: run_min_exposure(g, search, a, pot).parent, pairs)
         best = per_query_ms(lambda a, b: centralized_min_exposure(
             g, oracle, a, pot, target=b, limit=caps[a, b]), pairs)
         rounds = np.mean([run.rounds for run in runs])
         packets = np.mean([run.total_packets for run in runs])
         print(f"n=2^{k}: awake {world.skeleton.size}, exposure flood "
-              f"{flood:.3f} ms, {rounds:.1f} rounds and {packets:.0f} "
+              f"{flood:.3f} ms with parents unread and {read:.3f} ms with "
+              f"`parent` read, {rounds:.1f} rounds and {packets:.0f} "
               f"packets, exposure oracle {best:.3f} ms per query")
         del world, g, search, oracle, pot, runs
 

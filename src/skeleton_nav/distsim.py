@@ -22,7 +22,9 @@ keeps the search graph it flooded beside its per-source hop tables, and the
 Voronoi band (`adaptive.detect_voronoi_nodes`) is read off them, so a world
 floods from each danger source once.  The exposure flood runs each round as
 a few array steps over the frontier's rows of the search graph's CSR arrays,
-and its oracle is csgraph's Dijkstra on weights gathered over the same index
+keeping values and a log of who sent what, but no parents: its `SimRun`
+derives them from the log on first read, and a query reads none.  Its
+oracle is csgraph's Dijkstra on weights gathered over the same index
 arrays, with the source's potential folded into its row.
 
 Node order: over part of the network a search graph's local ids follow
@@ -41,9 +43,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -69,9 +71,11 @@ class SimRun:
     """Outcome of one distributed run: per-node state plus packet accounting.
 
     The state is held per local id of the search graph `search`: each
-    node's value, its parent's local id (-1: none) and its transmission
-    count.  `value`, `parent` and `transmissions` spread it over all n
-    nodes, built on first read.
+    node's value, its transmission count and its parent's local id (-1:
+    none).  A run may leave `local_parent` unset and give `derive_parent`,
+    which computes the parents on their first read (`parents`).  `value`,
+    `parent` and `transmissions` spread the state over all n nodes, built
+    on first read.
     """
 
     kind: PacketKind
@@ -80,8 +84,10 @@ class SimRun:
     total_packets: int
     search: ActiveGraph
     local_value: Sequence[float]   # hop distance or accumulated exposure
-    local_parent: Sequence[int]
     local_tx: Sequence[int]
+    local_parent: Sequence[int] | None = None
+    derive_parent: Callable[[], np.ndarray] | None = field(default=None,
+                                                           repr=False)
 
     @property
     def ids(self) -> np.ndarray:
@@ -101,13 +107,19 @@ class SimRun:
         i = self.local(node)
         return INF if i < 0 else float(self.local_value[i])
 
+    def parents(self) -> Sequence[int]:
+        """The local parents, derived on the first call if not given."""
+        if self.local_parent is None:
+            self.local_parent = self.derive_parent()
+        return self.local_parent
+
     @cached_property
     def value(self) -> list[float]:
         return spread(self.ids, self.local_value, self.n, INF)
 
     @cached_property
     def parent(self) -> list[NodeId]:
-        local = np.asarray(self.local_parent, dtype=np.int64)
+        local = np.asarray(self.parents(), dtype=np.int64)
         return spread(self.ids, np.where(local >= 0, self.ids[local], -1),
                       self.n, -1)
 
@@ -168,43 +180,83 @@ def run_min_exposure(graph: CommGraph, active, source: NodeId,
     start-of-round value, with the lowest-id such sender as parent.  The
     fixed point equals a centralized node-weighted shortest path search.
     Trace lines go one per improved receiver, by round, sender, receiver.
-    Parents are kept as node ids while the flood runs, so the lowest-id
+
+    The rounds carry only values and a log of each round's senders and
+    the values they sent; transmissions are counted off the log.  Parents
+    are left to `_exposure_parents`, which reads them off the log when
+    they are first read.  A trace needs each round's parents, so with a
+    trace the rounds also track them, as node ids, so that the lowest-id
     sender wins whatever the local numbering.
     """
     search, src = _search_graph(graph, active, source)
     indptr, indices = search.matrix.indptr, search.matrix.indices
     ids = search.ids
     pot = np.asarray(potentials, dtype=np.float64)[ids]
-    k = ids.size
-    value = np.full(k, INF)
+    value = np.full(ids.size, INF)
     value[src] = pot[src]
-    parent, tx = np.full(k, -1, dtype=np.int64), np.zeros(k, dtype=np.int64)
+    parent = None if trace is None else np.full(ids.size, -1)
     frontier = np.array([src])
-    rounds = 0
+    log = []  # per round: the senders and their start-of-round values
     while frontier.size:
-        tx[frontier] += 1
-        counts, receivers = row_runs(indptr, indices, frontier)
-        senders = np.repeat(frontier, counts)
-        cand = value.take(senders) + pot.take(receivers)  # start-of-round
+        senders, sent = frontier, value.take(frontier)
+        log.append((senders, sent))
+        counts, receivers = row_runs(indptr, indices, senders)
+        cand = sent.repeat(counts) + pot.take(receivers)
         before = value.copy()
         np.minimum.at(value, receivers, cand)
         improved = value < before
         frontier = np.flatnonzero(improved)
-        won = (cand == value.take(receivers)) & improved.take(receivers)
-        parent[frontier] = graph.n  # node-id parents, lowest wins
-        np.minimum.at(parent, receivers[won], ids.take(senders[won]))
-        if trace is not None:
+        if parent is not None:
+            won = (cand == value.take(receivers)) & improved.take(receivers)
+            parent[frontier] = graph.n  # node-id parents, lowest wins
+            np.minimum.at(parent, receivers[won],
+                          ids.take(senders.repeat(counts)[won]))
             u, v = parent[frontier], ids[frontier]
             order = np.lexsort((v, u))
             for a, b, x in zip(u[order].tolist(), v[order].tolist(),
                                value[frontier[order]].tolist()):
-                trace(f"{rounds} {a} {b} "
+                trace(f"{len(log) - 1} {a} {b} "
                       f"{PacketKind.EXPOSURE_SEARCH.value} {x:.17g}")
-        rounds += 1
-    local_parent = np.where(parent >= 0, search.local.take(parent), -1)
-    return SimRun(kind=PacketKind.EXPOSURE_SEARCH, source=source,
-                  rounds=rounds, total_packets=int(tx.sum()), search=search,
-                  local_value=value, local_parent=local_parent, local_tx=tx)
+    sends = np.concatenate([f for f, _ in log])
+    return SimRun(
+        kind=PacketKind.EXPOSURE_SEARCH, source=source, rounds=len(log),
+        total_packets=sends.size, search=search, local_value=value,
+        local_tx=np.bincount(sends, minlength=ids.size),
+        local_parent=None if parent is None else
+        np.where(parent >= 0, search.local.take(parent), -1),
+        derive_parent=partial(_exposure_parents, search, pot, log, value))
+
+
+def _exposure_parents(search: ActiveGraph, pot: np.ndarray, log: list,
+                      value: np.ndarray) -> np.ndarray:
+    """The exposure flood's local parents (-1: none), read off its log.
+
+    A node's parent is the lowest-id sender whose offer gave it its final
+    value, in the round of its last improvement.  An offer equal to that
+    value comes in that round or later, never earlier, and a later one
+    beats nothing, so the parent is the sender of the earliest such offer,
+    the lowest id among ties.  Offers are rebuilt from the values the
+    senders sent, not from their final values: a sender whose value fell
+    later makes no equal offer in the round that counts.  A node that
+    never improved (the source, an unreached node) keeps none.  All
+    rounds go in one array pass.
+    """
+    k, n = value.size, search.mask.size
+    node = np.concatenate([f for f, _ in log])
+    counts, receivers = row_runs(search.matrix.indptr, search.matrix.indices,
+                                 node)
+    offers = np.concatenate([v for _, v in log]).repeat(counts) + \
+        pot.take(receivers)
+    ties = offers == value.take(receivers)
+    rnd = np.repeat(np.arange(len(log)), [f.size for f, _ in log])
+    key = rnd * n + search.ids.take(node)  # round first, then node id
+    best = np.full(k, len(log) * n)
+    np.minimum.at(best, receivers[ties], key.repeat(counts)[ties])
+    improved = np.zeros(k, dtype=bool)
+    improved[node[rnd > 0]] = True  # it sent again, so it improved
+    parent = np.full(k, -1)
+    parent[improved] = search.local.take(best[improved] % n)
+    return parent
 
 
 @dataclass(eq=False)
@@ -263,11 +315,12 @@ def extract_path(run: SimRun, destination: NodeId) -> tuple[NodeId, ...]:
     if node < 0 or run.local_value[node] == INF:
         return ()
     source = run.local(run.source)
+    parents = run.parents()
     chain = [node]
     for _ in range(run.ids.size + 1):
         if node == source:
             break
-        node = int(run.local_parent[node])
+        node = int(parents[node])
         if node == -1:
             raise RuntimeError("broken parent chain")
         chain.append(node)
@@ -312,11 +365,14 @@ def centralized_min_exposure(graph: CommGraph, active, source: NodeId,
     `ActiveGraph`; the source must be active.
 
     Without a target the result is the list over all n nodes; with one it
-    is the exposure at the target alone (inf: unreached).  `limit` stops
-    the search at that exposure: nodes within it keep their exact values,
-    and the others read inf.
+    is the exposure at the target alone (inf: unreached, and at once,
+    without a search, for a target outside the search graph).  `limit`
+    stops the search at that exposure: nodes within it keep their exact
+    values, and the others read inf.
     """
     search, s = _search_graph(graph, active, source, target)
+    if target is not None and not search.mask[target]:
+        return INF
     mat = search.matrix
     pot = np.asarray(potentials, dtype=np.float64)[search.ids]
     data = pot.take(mat.indices)  # faster than fancy indexing by int32
@@ -328,6 +384,4 @@ def centralized_min_exposure(graph: CommGraph, active, source: NodeId,
     dist[s] = pot[s]
     if target is None:
         return spread(search.ids, dist, graph.n, INF)
-    if not search.mask[target]:
-        return INF
     return float(dist[search.index(target)])

@@ -202,9 +202,9 @@ def row_runs(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray
              ) -> tuple[np.ndarray, np.ndarray]:
     """Lengths of CSR `rows` and their entries, concatenated in order."""
     starts = indptr.take(rows)
-    counts = indptr.take(rows + 1) - starts
-    offsets = np.cumsum(counts) - counts  # where each row lands
-    pos = np.arange(counts.sum()) + np.repeat(starts - offsets, counts)
+    counts = indptr[1:].take(rows) - starts
+    offsets = counts.cumsum() - counts  # where each row lands
+    pos = np.arange(counts.sum()) + (starts - offsets).repeat(counts)
     return counts, indices.take(pos)
 
 

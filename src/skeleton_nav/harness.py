@@ -467,7 +467,7 @@ def run_query(world: World, index: int, src: int, dst: int) -> MetricsRecord:
         pot = world.potentials
         run = run_min_exposure(g, sk.search, src, pot)
         pk_sg += run.total_packets
-        reached = bool(extract_path(run, dst))
+        reached = run.value_at(dst) != INF
         # dominance puts the optimum within the skeleton's answer plus the
         # check's slack, so the oracle may stop there; an inf at that cap
         # means dominance is broken, and the uncapped search shows by how

@@ -279,12 +279,26 @@ def test_local_floods_equal_n_sized_floods(inst, order_seed):
     pot = potentials(rng, g.n)
     lines, expect_lines = [], []
     run = run_min_exposure(g, search, src, pot, trace=lines.append)
-    assert _run_fields(run) == reference_min_exposure_flood(
+    expect = reference_min_exposure_flood(
         g, active, src, pot, trace=expect_lines.append,
         order_seed=order_seed)
+    assert _run_fields(run) == expect
     assert lines == expect_lines
     assert run.total_packets == sum(run.transmissions)
     assert run.value_at(dst) == run.value[dst]
+    # untraced, the parents are derived from the round log when read: the
+    # route walks them, and the run equals the reference
+    untraced = run_min_exposure(g, search, src, pot)
+    assert untraced.local_parent is None
+    route = extract_path(untraced, dst)
+    assert bool(route) == (untraced.value_at(dst) != INF)
+    if route:
+        chain = [dst]
+        while chain[-1] != src:
+            chain.append(untraced.parent[chain[-1]])
+        assert route == tuple(reversed(chain))
+    assert _run_fields(untraced) == expect
+    assert untraced.total_packets == run.total_packets
 
 
 @EXAMPLES
@@ -314,6 +328,15 @@ def test_capped_exposure_equals_uncapped_within_the_cap(inst, slack):
                                         limit=cap) == value
     assert centralized_min_exposure(g, search, src, pot, target=src) == \
         full[src]
+    # a target outside the search graph reads inf without a search
+    outside = np.flatnonzero(~search.mask)
+    if outside.size:
+        with mock.patch("skeleton_nav.distsim.dijkstra",
+                        side_effect=AssertionError("searched")):
+            for cap in (None, 1.0):
+                assert centralized_min_exposure(
+                    g, search, src, pot, target=int(outside[0]),
+                    limit=cap) == INF
 
 
 @st.composite
