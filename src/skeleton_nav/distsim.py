@@ -21,11 +21,11 @@ parent from its induced row (`field.lowest_parents`).  The potential phase
 keeps the search graph it flooded beside its per-source hop tables, and the
 Voronoi band (`adaptive.detect_voronoi_nodes`) is read off them, so a world
 floods from each danger source once.  The exposure flood runs each round as
-a few array steps over the frontier's rows of the search graph's CSR arrays,
-keeping values and a log of who sent what, but no parents: its `SimRun`
-derives them from the log on first read, and a query reads none.  Its
-oracle is csgraph's Dijkstra on weights gathered over the same index
-arrays, with the source's potential folded into its row.
+a few array steps over the frontier's rows of the search graph's CSR arrays;
+untraced, it keeps no parents, and its `SimRun` derives them on first read
+by running the rounds again (a query reads none).  Its oracle is csgraph's
+Dijkstra on weights gathered over the same index arrays, with the source's
+potential folded into its row.
 
 Node order: over part of the network a search graph's local ids follow
 space order (see `field`), its rows list neighbours by node id, and every
@@ -45,7 +45,7 @@ import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -71,11 +71,11 @@ class SimRun:
     """Outcome of one distributed run: per-node state plus packet accounting.
 
     The state is held per local id of the search graph `search`: each
-    node's value, its transmission count and its parent's local id (-1:
-    none).  A run may leave `local_parent` unset and give `derive_parent`,
-    which computes the parents on their first read (`parents`).  `value`,
-    `parent` and `transmissions` spread the state over all n nodes, built
-    on first read.
+    node's value, its parent's local id (-1: none) and its transmission
+    count.  An untraced exposure flood leaves `local_parent` None, and
+    `parents()` derives it on first read.  `value`, `parent` and
+    `transmissions` spread the state over all n nodes, built on first
+    read.
     """
 
     kind: PacketKind
@@ -84,10 +84,10 @@ class SimRun:
     total_packets: int
     search: ActiveGraph
     local_value: Sequence[float]   # hop distance or accumulated exposure
+    local_parent: Sequence[int] | None  # None: derived on first read
     local_tx: Sequence[int]
-    local_parent: Sequence[int] | None = None
-    derive_parent: Callable[[], np.ndarray] | None = field(default=None,
-                                                           repr=False)
+    _derive_parent: Callable[[], np.ndarray] | None = field(
+        default=None, init=False, repr=False)
 
     @property
     def ids(self) -> np.ndarray:
@@ -108,9 +108,9 @@ class SimRun:
         return INF if i < 0 else float(self.local_value[i])
 
     def parents(self) -> Sequence[int]:
-        """The local parents, derived on the first call if not given."""
+        """The local parents, derived on the first call if not kept."""
         if self.local_parent is None:
-            self.local_parent = self.derive_parent()
+            self.local_parent = self._derive_parent()
         return self.local_parent
 
     @cached_property
@@ -181,82 +181,64 @@ def run_min_exposure(graph: CommGraph, active, source: NodeId,
     fixed point equals a centralized node-weighted shortest path search.
     Trace lines go one per improved receiver, by round, sender, receiver.
 
-    The rounds carry only values and a log of each round's senders and
-    the values they sent; transmissions are counted off the log.  Parents
-    are left to `_exposure_parents`, which reads them off the log when
-    they are first read.  A trace needs each round's parents, so with a
-    trace the rounds also track them, as node ids, so that the lowest-id
-    sender wins whatever the local numbering.
+    Only a trace needs the parents while the flood runs, since every line
+    names one.  An untraced run leaves them out of its rounds, and its
+    `SimRun` derives them on first read by running the rounds again with
+    them kept; a query reads none.
     """
     search, src = _search_graph(graph, active, source)
+    pot = np.asarray(potentials, dtype=np.float64)[search.ids]
+    value, tx, rounds, parent = _exposure_rounds(search, src, pot,
+                                                 trace is not None, trace)
+    run = SimRun(kind=PacketKind.EXPOSURE_SEARCH, source=source,
+                 rounds=rounds, total_packets=int(tx.sum()), search=search,
+                 local_value=value, local_parent=parent, local_tx=tx)
+    if parent is None:
+        run._derive_parent = lambda: _exposure_rounds(search, src, pot,
+                                                      True)[3]
+    return run
+
+
+def _exposure_rounds(search: ActiveGraph, src: int, pot: np.ndarray,
+                     keep_parents: bool, trace: TraceFn | None = None
+                     ) -> tuple:
+    """The exposure flood's rounds from local id `src`: local values,
+    transmissions, the round count and, if kept (always with a trace), the
+    local parents (-1: none).  Parents are kept as node ids while the flood
+    runs, so that the lowest-id sender wins whatever the local numbering.
+    """
     indptr, indices = search.matrix.indptr, search.matrix.indices
-    ids = search.ids
-    pot = np.asarray(potentials, dtype=np.float64)[ids]
+    ids, n = search.ids, search.mask.size
     value = np.full(ids.size, INF)
     value[src] = pot[src]
-    parent = None if trace is None else np.full(ids.size, -1)
+    tx = np.zeros(ids.size, dtype=np.int64)
+    parent = np.full(ids.size, -1) if keep_parents else None
     frontier = np.array([src])
-    log = []  # per round: the senders and their start-of-round values
+    rounds = 0
     while frontier.size:
-        senders, sent = frontier, value.take(frontier)
-        log.append((senders, sent))
-        counts, receivers = row_runs(indptr, indices, senders)
-        cand = sent.repeat(counts) + pot.take(receivers)
+        tx[frontier] += 1
+        counts, receivers = row_runs(indptr, indices, frontier)
+        cand = value.take(frontier).repeat(counts) + pot.take(receivers)
         before = value.copy()
         np.minimum.at(value, receivers, cand)
         improved = value < before
-        frontier = np.flatnonzero(improved)
+        senders, frontier = frontier, np.flatnonzero(improved)
         if parent is not None:
             won = (cand == value.take(receivers)) & improved.take(receivers)
-            parent[frontier] = graph.n  # node-id parents, lowest wins
+            parent[frontier] = n  # node-id parents, lowest wins
             np.minimum.at(parent, receivers[won],
                           ids.take(senders.repeat(counts)[won]))
+        if trace is not None:
             u, v = parent[frontier], ids[frontier]
             order = np.lexsort((v, u))
             for a, b, x in zip(u[order].tolist(), v[order].tolist(),
                                value[frontier[order]].tolist()):
-                trace(f"{len(log) - 1} {a} {b} "
+                trace(f"{rounds} {a} {b} "
                       f"{PacketKind.EXPOSURE_SEARCH.value} {x:.17g}")
-    sends = np.concatenate([f for f, _ in log])
-    return SimRun(
-        kind=PacketKind.EXPOSURE_SEARCH, source=source, rounds=len(log),
-        total_packets=sends.size, search=search, local_value=value,
-        local_tx=np.bincount(sends, minlength=ids.size),
-        local_parent=None if parent is None else
-        np.where(parent >= 0, search.local.take(parent), -1),
-        derive_parent=partial(_exposure_parents, search, pot, log, value))
-
-
-def _exposure_parents(search: ActiveGraph, pot: np.ndarray, log: list,
-                      value: np.ndarray) -> np.ndarray:
-    """The exposure flood's local parents (-1: none), read off its log.
-
-    A node's parent is the lowest-id sender whose offer gave it its final
-    value, in the round of its last improvement.  An offer equal to that
-    value comes in that round or later, never earlier, and a later one
-    beats nothing, so the parent is the sender of the earliest such offer,
-    the lowest id among ties.  Offers are rebuilt from the values the
-    senders sent, not from their final values: a sender whose value fell
-    later makes no equal offer in the round that counts.  A node that
-    never improved (the source, an unreached node) keeps none.  All
-    rounds go in one array pass.
-    """
-    k, n = value.size, search.mask.size
-    node = np.concatenate([f for f, _ in log])
-    counts, receivers = row_runs(search.matrix.indptr, search.matrix.indices,
-                                 node)
-    offers = np.concatenate([v for _, v in log]).repeat(counts) + \
-        pot.take(receivers)
-    ties = offers == value.take(receivers)
-    rnd = np.repeat(np.arange(len(log)), [f.size for f, _ in log])
-    key = rnd * n + search.ids.take(node)  # round first, then node id
-    best = np.full(k, len(log) * n)
-    np.minimum.at(best, receivers[ties], key.repeat(counts)[ties])
-    improved = np.zeros(k, dtype=bool)
-    improved[node[rnd > 0]] = True  # it sent again, so it improved
-    parent = np.full(k, -1)
-    parent[improved] = search.local.take(best[improved] % n)
-    return parent
+        rounds += 1
+    if parent is not None:
+        parent = np.where(parent >= 0, search.local.take(parent), -1)
+    return value, tx, rounds, parent
 
 
 @dataclass(eq=False)

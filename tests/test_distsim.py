@@ -111,36 +111,6 @@ def test_min_exposure_sender_order_does_not_change_values():
             g, mask, src, pot, order_seed=order_seed) == base
 
 
-def test_min_exposure_parent_survives_a_later_equal_offer():
-    # a unit grid where v (potential 2^53, so offers round to even) takes
-    # its value from z in round 2; u sends 1.5 + 2^53 -> 2^53 + 2 in that
-    # round, then falls to 0.2 by a longer path, and its next offer rounds
-    # to v's value without beating it, so the parent stays z although u
-    # has the lower id
-    names = "u s a v z b c d e".split()
-    xy = {"u": (3, 1), "s": (1, 1), "a": (2, 1), "v": (3, 2), "z": (2, 2),
-          "b": (1, 2), "c": (1, 0), "d": (2, 0), "e": (3, 0)}
-    pot = {"a": 1.5, "v": 2.0 ** 53, "b": 0.5, "c": 0.1, "d": 0.1}
-    u, s, v, z = (names.index(x) for x in "usvz")
-    g = build_comm_graph(SensorField(
-        n=len(names), side=4.0, radio_range=1.0, seed=0,
-        positions=np.array([xy[x] for x in names], dtype=float)))
-    pots = [pot.get(x, 0.0) for x in names]
-    lines = []
-    traced = run_min_exposure(g, None, s, pots, trace=lines.append)
-    run = run_min_exposure(g, None, s, pots)
-    assert run.value[u] == 0.2 and run.value[u] + pots[v] == run.value[v]
-    assert run.parent[v] == z
-    expect_lines = []
-    expect = reference_min_exposure_flood(g, np.ones(g.n, dtype=bool), s,
-                                          pots, trace=expect_lines.append)
-    assert (run.value, run.parent, run.transmissions, run.rounds) == expect
-    assert (traced.value, traced.parent, traced.transmissions,
-            traced.rounds) == expect
-    assert lines == expect_lines
-    assert extract_path(run, v) == (s, names.index("b"), z, v)
-
-
 def test_inactive_source_rejected(tiny_graph):
     with pytest.raises(ValueError):
         run_bfs_flood(tiny_graph, {1, 2}, 0)

@@ -286,8 +286,8 @@ def test_local_floods_equal_n_sized_floods(inst, order_seed):
     assert lines == expect_lines
     assert run.total_packets == sum(run.transmissions)
     assert run.value_at(dst) == run.value[dst]
-    # untraced, the parents are derived from the round log when read: the
-    # route walks them, and the run equals the reference
+    # untraced, the parents are derived when first read: the route walks
+    # them, and the run equals the reference
     untraced = run_min_exposure(g, search, src, pot)
     assert untraced.local_parent is None
     route = extract_path(untraced, dst)
