@@ -10,12 +10,15 @@ With no --section the whole sweep runs; the gate-level sections take
 about a minute combined.  The census-scaling section builds worlds up to
 n = 2^20 and prints the process's own peak RSS; the retire section times
 the cluster retirement up to n = 2^18; the query-scaling section
-times one query's skeleton flood, targeted hop oracle and full hop table
-up to n = 2^18, with the size of the source's oracle component (what a
-full flood is charged), and its exposure flood (with its parents unread,
-then read) and exposure oracle at n = 2^14 and 2^16.  Before the queries
-it times the one-off builds (comm graph, oracle graph, component labels)
-with each one's tracemalloc peak and the process's peak RSS after it.
+times one query's skeleton flood (with its parents unread, then read),
+targeted hop oracle and full hop table up to n = 2^18, with the size of
+the source's oracle component (what a full flood is charged), the hop
+oracle and the full table again on 10 pairs drawn uniformly from the
+out-of-zone nodes, and one query's exposure flood (parents unread, then
+read) and exposure oracle at n = 2^14 and 2^16.  Before the queries it
+times the one-off builds (comm graph, oracle graph, component labels, the
+oracle's padded neighbour table) with each one's tracemalloc peak and the
+process's peak RSS after it.
 """
 from __future__ import annotations
 
@@ -542,12 +545,19 @@ def section_query_scaling():
         g = world.graph
         print(f"n=2^{k}: comm graph {one_off(lambda: g.indices)}; "
               f"oracle graph {one_off(lambda: world.oracle)}; "
-              f"labels {one_off(lambda: world.oracle.component_sizes)}")
+              f"labels {one_off(lambda: world.oracle.component_sizes)}; "
+              f"neighbour table "
+              f"{one_off(lambda: world.oracle.neighbor_table)}, "
+              f"{world.oracle.neighbor_table.nbytes / 2**20:.1f} MB "
+              f"{world.oracle.neighbor_table.dtype}")
         pairs = sample_queries(world)
         search, oracle = world.skeleton.search, world.oracle
         component = np.mean([oracle.component_sizes[oracle.index(a)]
                              for a, _ in pairs])
         flood = per_query_ms(lambda a, b: run_bfs_flood(g, search, a), pairs)
+        # parents are derived on first read: the same flood with one read
+        read = per_query_ms(
+            lambda a, b: run_bfs_flood(g, search, a).parent, pairs)
         hops = per_query_ms(
             lambda a, b: centralized_bfs(g, oracle, a, target=b), pairs)
         # the full table, which the oracle-equivalence gate reads
@@ -555,10 +565,23 @@ def section_query_scaling():
                              pairs)
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         print(f"n=2^{k}: awake {world.skeleton.size}, skeleton flood "
-              f"{flood:.3f} ms, hop oracle {hops:.3f} ms, full hop table "
+              f"{flood:.3f} ms with parents unread and {read:.3f} ms with "
+              f"`parent` read, hop oracle {hops:.3f} ms, full hop table "
               f"{table:.3f} ms per query; oracle component (a full flood's "
               f"charge) {component:.0f} nodes; peak RSS so far "
               f"{peak:.0f} MB")
+        # far pairs: the snapped pairs lie a few hops apart, these do not
+        far = np.random.default_rng(2).choice(np.flatnonzero(world.active),
+                                              (10, 2), replace=False)
+        far = [(int(a), int(b)) for a, b in far]
+        apart = [centralized_bfs(g, oracle, a, target=b) for a, b in far]
+        hops = per_query_ms(
+            lambda a, b: centralized_bfs(g, oracle, a, target=b), far)
+        table = per_query_ms(lambda a, b: centralized_bfs(g, oracle, a),
+                             far)
+        print(f"n=2^{k}: 10 out-of-zone pairs, median {np.median(apart):g} "
+              f"hops apart: hop oracle {hops:.3f} ms, full hop table "
+              f"{table:.3f} ms per query")
         del world, g, search, oracle
 
     print("== per-query exposure search cost, exposure-points construction, "

@@ -17,15 +17,17 @@ local parents and returns the route's node ids.  Trace lines name nodes by
 node id.  The hop flood, the hop oracle's table and the potential phase read
 hop distances off one csgraph BFS order (`field.hop_distances`), whose cost
 follows the edges the search reaches; the flood takes each node's lowest-id
-parent from its induced row (`field.lowest_parents`).  The potential phase
-keeps the search graph it flooded beside its per-source hop tables, and the
-Voronoi band (`adaptive.detect_voronoi_nodes`) is read off them, so a world
-floods from each danger source once.  The exposure flood runs each round as
-a few array steps over the frontier's rows of the search graph's CSR arrays;
-untraced, it keeps no parents, and its `SimRun` derives them on first read
-by running the rounds again (a query reads none).  Its oracle is csgraph's
-Dijkstra on weights gathered over the same index arrays, with the source's
-potential folded into its row.
+parent from its induced row (`field.lowest_parents`).  Only a traced flood
+of either kind finds its parents while it runs: an untraced one's `SimRun`
+derives them on first read, and a query reads none, only the values.  The
+potential phase keeps the search graph it flooded beside its per-source hop
+tables, and the Voronoi band (`adaptive.detect_voronoi_nodes`) is read off
+them, so a world floods from each danger source once.  The exposure flood
+runs each round as a few array steps over the frontier's rows of the search
+graph's CSR arrays; untraced, it keeps no parents, and its `SimRun` derives
+them by running the rounds again.  Its oracle is csgraph's Dijkstra on
+weights gathered over the same index arrays, with the source's potential
+folded into its row.
 
 Node order: over part of the network a search graph's local ids follow
 space order (see `field`), its rows list neighbours by node id, and every
@@ -72,8 +74,8 @@ class SimRun:
 
     The state is held per local id of the search graph `search`: each
     node's value, its parent's local id (-1: none) and its transmission
-    count.  An untraced exposure flood leaves `local_parent` None, and
-    `parents()` derives it on first read.  `value`, `parent` and
+    count.  An untraced flood, hop or exposure, leaves `local_parent`
+    None, and `parents()` derives it on first read.  `value`, `parent` and
     `transmissions` spread the state over all n nodes, built on first
     read.
     """
@@ -147,13 +149,16 @@ def run_bfs_flood(graph: CommGraph, active, source: NodeId,
     Receivers keep the smallest hop count and take the lowest-id sender as
     parent, so the result equals a centralized BFS.  The trace is rebuilt
     from depth and parent: events go by round (the sender's depth), then
-    sender, then receiver.
+    sender, then receiver.  Only a trace needs the parents up front; an
+    untraced run's `SimRun` derives them from the depths on first read (a
+    query reads none).
     """
     search, s = _search_graph(graph, active, source)
     dist = hop_distances(search, s)
-    parent = lowest_parents(search, dist)
     reached = np.isfinite(dist)
+    parent = None
     if trace is not None:
+        parent = lowest_parents(search, dist)
         heard = np.flatnonzero(parent >= 0)
         ids = search.ids
         u, v = ids[parent[heard]], ids[heard]
@@ -161,11 +166,14 @@ def run_bfs_flood(graph: CommGraph, active, source: NodeId,
         for hops, a, b in zip(dist[heard][order].astype(int).tolist(),
                               u[order].tolist(), v[order].tolist()):
             trace(f"{hops - 1} {a} {b} {PacketKind.SEARCH.value} {hops}")
-    return SimRun(kind=PacketKind.SEARCH, source=source,
-                  rounds=int(dist[reached].max()) + 1,
-                  total_packets=int(np.count_nonzero(reached)),
-                  search=search, local_value=dist, local_parent=parent,
-                  local_tx=reached.astype(np.int64))
+    run = SimRun(kind=PacketKind.SEARCH, source=source,
+                 rounds=int(dist[reached].max()) + 1,
+                 total_packets=int(np.count_nonzero(reached)),
+                 search=search, local_value=dist, local_parent=parent,
+                 local_tx=reached.astype(np.int64))
+    if parent is None:
+        run._derive_parent = lambda: lowest_parents(search, dist)
+    return run
 
 
 def run_min_exposure(graph: CommGraph, active, source: NodeId,

@@ -19,7 +19,9 @@ depths off one `breadth_first_order`, and `lowest_parents` gives each
 reached node its lowest-id neighbour one level up, the parent a synchronous
 flood gives.  Searches from several sources or to a capped depth (perimeter
 streets) are one `dijkstra` call on the same matrix.  All run on scipy's
-`csgraph` but `hops_between`, a numpy loop that stops where two balls meet.
+`csgraph` but `hops_between`, a numpy loop that stops where two balls meet
+and reads each level's rows off the search graph's padded neighbour table
+(`ActiveGraph.neighbor_table`, built on first use), one `take` per level.
 Every search graph is symmetric, being induced from the undirected comm
 graph, so its connected components are strong components, found on the
 matrix as it is.  Callers needing a table over all n spread the local one.
@@ -278,6 +280,23 @@ class ActiveGraph:
         return int(self.local[node]) if 0 <= node < self.local.size else -1
 
     @cached_property
+    def neighbor_table(self) -> np.ndarray:
+        """Read-only (k + 1, max degree) table of the rows, built on first
+        use: row i lists local id i's neighbours in node-id order, as its
+        CSR row does, padded with the sentinel k, and row k is all padding.
+        int16 while k < 2**15, else int32.  A level of a search is then one
+        `take` of its frontier's rows."""
+        mat = self.matrix
+        k = mat.shape[0]
+        degree = np.diff(mat.indptr)
+        table = np.full((k + 1, int(degree.max(initial=0))), k,
+                        dtype=np.int16 if k < 2**15 else np.int32)
+        # the mask is row-major, as the CSR entries are
+        table[:k][np.arange(table.shape[1]) < degree[:, None]] = mat.indices
+        table.setflags(write=False)
+        return table
+
+    @cached_property
     def component_labels(self) -> np.ndarray:
         """Per local id, the label of its connected component.
 
@@ -361,16 +380,19 @@ def hops_between(search: ActiveGraph, s: int, t: int) -> float:
 
     Meet in the middle (Pohl 1971): the smaller of the frontiers from s and
     t grows a level, tagging what it reaches with its side, until its rows
-    touch the other side (distance: the radii plus 1) or it empties."""
+    touch the other side (distance: the radii plus 1) or it empties.  Each
+    level reads its frontier's rows off `search.neighbor_table`; the
+    padding sentinel's tag is neither side, so it never joins a ball."""
     if s == t:
         return 0.0
-    mat = search.matrix
-    side, slot = np.zeros(search.ids.size, np.int8), np.empty_like(search.ids)
-    side[s], side[t] = 1, -1
+    table = search.neighbor_table
+    k = search.ids.size
+    side, slot = np.zeros(k + 1, np.int8), np.empty(k, np.int64)
+    side[s], side[t], side[k] = 1, -1, 2
     fronts, radii = [np.array([s]), np.array([t])], [0, 0]
     while fronts[0].size and fronts[1].size:
         i = int(fronts[1].size < fronts[0].size)
-        nbrs = row_runs(mat.indptr, mat.indices, fronts[i])[1]
+        nbrs = table.take(fronts[i], axis=0).ravel()
         seen = side.take(nbrs)
         if (seen == 2 * i - 1).any():  # a node of the other side
             return float(radii[0] + radii[1] + 1)

@@ -27,7 +27,7 @@ from .uniform import UniformStreetConfig, build_uniform_skeleton
 from .adaptive import build_adaptive_skeleton, detect_voronoi_nodes, \
     embed_voronoi_streets
 from .distsim import INF, centralized_bfs, centralized_min_exposure, \
-    extract_path, run_bfs_flood, run_min_exposure, run_potential_phase
+    run_bfs_flood, run_min_exposure, run_potential_phase
 
 ZONE_KINDS = ("none", "simple", "complex", "points")
 SKELETON_KINDS = ("full", "uniform", "adaptive")
@@ -446,17 +446,17 @@ def run_query(world: World, index: int, src: int, dst: int) -> MetricsRecord:
     if "path" in s.metrics:
         run = run_bfs_flood(g, sk.search, src)
         pk_sg += run.total_packets
-        route = extract_path(run, dst)
+        hops = run.value_at(dst)  # the route's length: no walk needed
         oracle = world.oracle
         hops_full = centralized_bfs(g, oracle, src, target=dst)
         pk_full += int(oracle.component_sizes[oracle.index(src)])
         reach_full = hops_full != INF
-        reach_sg = bool(route)
+        reach_sg = hops != INF
         if reach_full:
             hops_opt = hops_full
-        if route:
-            hops_sg = float(len(route) - 1)
-        if reach_full and route:
+        if reach_sg:
+            hops_sg = hops
+        if reach_full and reach_sg:
             if hops_opt > hops_sg * (1 + _RATIO_SLACK):
                 raise InvariantViolation(
                     f"query {index}: full-graph BFS ({hops_opt}) beat the "

@@ -4,7 +4,8 @@ The adjacency oracle is the quadratic all-pairs distance check
 (`reference_csr`); BFS is checked against scipy's unweighted shortest_path
 on the same adjacency.
 Two memory guards bound what the CSR build and the component labelling
-allocate, as tracemalloc sees it.
+allocate, as tracemalloc sees it.  The padded neighbour table widens from
+int16 to int32 where its sentinel needs it.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from skeleton_nav.field import (
     generate_field,
     hop_bfs,
     hop_distances,
+    hops_between,
     nearest_node,
 )
 
@@ -149,6 +151,21 @@ def test_induced_over_every_node_shares_the_graph(graph_cache):
     assert (full[keep][:, keep] != part).nnz == 0
     assert hop_distances(active_graph(g, None), 0).tolist() == \
         scipy_hops(g, 0)
+
+
+def test_neighbor_table_widens_when_the_sentinel_needs_it():
+    # the padding sentinel is k: a path of 2**15 - 1 nodes keeps int16,
+    # one node more takes int32, and the hop oracle reads either
+    for n, dtype in ((2**15 - 1, np.int16), (2**15, np.int32)):
+        pos = np.column_stack((np.arange(n), np.zeros(n))).astype(float)
+        g = build_comm_graph(SensorField(n=n, side=float(n), radio_range=1.0,
+                                         seed=0, positions=pos))
+        search = active_graph(g, None)
+        table = search.neighbor_table
+        assert table.dtype == dtype and table.shape == (n + 1, 2)
+        assert table[0].tolist() == [1, n]
+        assert table[n - 1].tolist() == [n - 2, n]
+        assert hops_between(search, n - 1, n - 6) == 5.0
 
 
 def traced_peak(read) -> int:

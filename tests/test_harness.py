@@ -244,6 +244,22 @@ def test_run_query_packet_bookkeeping():
     assert rec.scenario_hash == world.scenario.digest
 
 
+def test_path_queries_derive_no_parents(monkeypatch):
+    # a path query reads the hop flood's value at the destination, never
+    # its parents: with the parent rule made to fail, an on-street,
+    # path-only scenario writes the same rows
+    s = Scenario(n=1024, seed=3, zone_kind="simple", skeleton="adaptive",
+                 queries=20, query_seed=4, metrics=("path",))
+    expect = run_scenario(s)
+    assert any(r.hops_sg for r in expect)
+
+    def fail(*args):
+        raise AssertionError("a query derived the flood's parents")
+
+    monkeypatch.setattr("skeleton_nav.distsim.lowest_parents", fail)
+    assert csv_text(run_scenario(s)) == csv_text(expect)
+
+
 def test_exposure_queries_reuse_world_state(monkeypatch):
     world = build_world(Scenario(
         n=1024, seed=9, zone_kind="points", danger_count=3, danger_seed=17,

@@ -8,9 +8,11 @@ Depth recovery from the csgraph BFS order is also checked on long paths and
 grids, whose many levels give many level boundaries, and skeleton floods on
 a cached search graph must equal floods given the awake node set.  The
 floods over local ids must equal the n-sized reference floods, on every
-node, a drawn set or the source alone; the hop oracle's answer for one
-target must equal its full list, and a capped exposure oracle must equal
-the uncapped one wherever the cap reaches.  The quadtree's unit-cell leaf
+node, a drawn set or the source alone, traced or with their parents
+derived on first read; on the same sets the hop oracle's answer for one
+target must equal its full list, and the padded neighbour table must hold
+each CSR row in order; a capped exposure oracle must equal the uncapped
+one wherever the cap reaches.  The quadtree's unit-cell leaf
 table must locate leaves and wake sensors exactly as the tree walk and the
 per-sensor loop do.  The cluster retirement, one array pass per tree
 level, must charge the messages and wake the sensors that the loop over
@@ -257,25 +259,36 @@ def flood_instances(draw):
     return g, active, source, rng
 
 
-@EXAMPLES
-@given(flood_instances(), st.one_of(st.none(), st.integers(0, 3)))
-def test_local_floods_equal_n_sized_floods(inst, order_seed):
-    g, active, src, rng = inst
-    search = active_graph(g, active)
-    lines, expect_lines = [], []
-    run = run_bfs_flood(g, search, src, trace=lines.append)
-    assert _run_fields(run) == reference_bfs_flood(
-        g, active, src, trace=expect_lines.append)
-    assert lines == expect_lines
-    # the local parent walk follows the n-length parent list
-    dst = int(rng.integers(g.n))
+def assert_route_walks_parents(run, src, dst):
+    """The local parent walk reaches dst exactly when the run does, and
+    follows the n-length parent list."""
     route = extract_path(run, dst)
-    assert bool(route) == (run.value[dst] != INF)
+    assert bool(route) == (run.value_at(dst) != INF)
     if route:
         chain = [dst]
         while chain[-1] != src:
             chain.append(run.parent[chain[-1]])
         assert route == tuple(reversed(chain))
+
+
+@EXAMPLES
+@given(flood_instances(), st.one_of(st.none(), st.integers(0, 3)))
+def test_local_floods_equal_n_sized_floods(inst, order_seed):
+    # each flood traced, then untraced: an untraced run leaves its parents
+    # unset until first read, derives them then, and equals the reference
+    g, active, src, rng = inst
+    search = active_graph(g, active)
+    lines, expect_lines = [], []
+    run = run_bfs_flood(g, search, src, trace=lines.append)
+    expect = reference_bfs_flood(g, active, src, trace=expect_lines.append)
+    assert _run_fields(run) == expect
+    assert lines == expect_lines
+    dst = int(rng.integers(g.n))
+    assert_route_walks_parents(run, src, dst)
+    untraced = run_bfs_flood(g, search, src)
+    assert untraced.local_parent is None
+    assert_route_walks_parents(untraced, src, dst)
+    assert _run_fields(untraced) == expect
     pot = potentials(rng, g.n)
     lines, expect_lines = [], []
     run = run_min_exposure(g, search, src, pot, trace=lines.append)
@@ -286,31 +299,46 @@ def test_local_floods_equal_n_sized_floods(inst, order_seed):
     assert lines == expect_lines
     assert run.total_packets == sum(run.transmissions)
     assert run.value_at(dst) == run.value[dst]
-    # untraced, the parents are derived when first read: the route walks
-    # them, and the run equals the reference
+    assert_route_walks_parents(run, src, dst)
     untraced = run_min_exposure(g, search, src, pot)
     assert untraced.local_parent is None
-    route = extract_path(untraced, dst)
-    assert bool(route) == (untraced.value_at(dst) != INF)
-    if route:
-        chain = [dst]
-        while chain[-1] != src:
-            chain.append(untraced.parent[chain[-1]])
-        assert route == tuple(reversed(chain))
+    assert_route_walks_parents(untraced, src, dst)
     assert _run_fields(untraced) == expect
     assert untraced.total_packets == run.total_packets
 
 
 @EXAMPLES
-@given(instances())
+@given(flood_instances())
 def test_hop_oracle_target_equals_the_full_list(inst):
     # every node as target: the source itself, reachable and unreachable
-    # members, and nodes outside the active set
-    g, active, src, _ = inst
+    # members, and nodes outside the active set; on the long paths and
+    # grids, the source and 120 others
+    g, active, src, rng = inst
     search = active_graph(g, active)
     full = centralized_bfs(g, search, src)
+    targets = range(g.n)
+    if g.n > 120:
+        targets = [src, *rng.choice(g.n, 120, replace=False).tolist()]
     assert [centralized_bfs(g, search, src, target=dst)
-            for dst in range(g.n)] == full
+            for dst in targets] == [full[dst] for dst in targets]
+
+
+@EXAMPLES
+@given(flood_instances())
+def test_neighbor_table_equals_the_csr_rows(inst):
+    g, active, _, _ = inst
+    search = active_graph(g, active)
+    mat, k = search.matrix, search.ids.size
+    table = search.neighbor_table
+    degree = np.diff(mat.indptr)
+    assert table.shape == (k + 1, degree.max(initial=0))
+    assert table.dtype == (np.int16 if k < 2**15 else np.int32)
+    assert not table.flags.writeable
+    for i, d in enumerate(degree.tolist()):
+        row = table[i].tolist()
+        assert row[:d] == mat.indices[mat.indptr[i]:mat.indptr[i + 1]].tolist()
+        assert row[d:] == [k] * (table.shape[1] - d)
+    assert table[k].tolist() == [k] * table.shape[1]
 
 
 @EXAMPLES
