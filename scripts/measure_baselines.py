@@ -15,10 +15,12 @@ targeted hop oracle and full hop table up to n = 2^18, with the size of
 the source's oracle component (what a full flood is charged), the hop
 oracle and the full table again on 10 pairs drawn uniformly from the
 out-of-zone nodes, and one query's exposure flood (parents unread, then
-read) and exposure oracle at n = 2^14 and 2^16.  Before the queries it
-times the one-off builds (comm graph, oracle graph, component labels, the
-oracle's padded neighbour table) with each one's tracemalloc peak and the
-process's peak RSS after it.
+read) and exposure oracle (with the world's weights kept, and gathered
+per call from a writable copy of the potentials) at n = 2^14 and 2^16.
+Before the queries it times the one-off builds (comm graph, oracle graph,
+component labels, the oracle's padded neighbour table, the exposure
+oracle's weights) with each one's tracemalloc peak and the process's peak
+RSS after it.
 """
 from __future__ import annotations
 
@@ -37,8 +39,8 @@ from skeleton_nav.danger import (DangerZone, PotentialModel, path_exposure,
                                  perimeter_length, points_in_region,
                                  well_behaved_check, zone_node_mask)
 from skeleton_nav.distsim import (centralized_bfs, centralized_min_exposure,
-                                  run_bfs_flood, run_min_exposure,
-                                  run_potential_phase)
+                                  oracle_weights, run_bfs_flood,
+                                  run_min_exposure, run_potential_phase)
 from skeleton_nav.field import SensorField, build_comm_graph, generate_field
 from skeleton_nav.harness import (Scenario, auto_tune_epsilon, build_world,
                                   fixture_zone, run_query, run_scenario,
@@ -557,7 +559,7 @@ def section_query_scaling():
         flood = per_query_ms(lambda a, b: run_bfs_flood(g, search, a), pairs)
         # parents are derived on first read: the same flood with one read
         read = per_query_ms(
-            lambda a, b: run_bfs_flood(g, search, a).parent, pairs)
+            lambda a, b: run_bfs_flood(g, search, a).parents(), pairs)
         hops = per_query_ms(
             lambda a, b: centralized_bfs(g, oracle, a, target=b), pairs)
         # the full table, which the oracle-equivalence gate reads
@@ -566,7 +568,7 @@ def section_query_scaling():
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         print(f"n=2^{k}: awake {world.skeleton.size}, skeleton flood "
               f"{flood:.3f} ms with parents unread and {read:.3f} ms with "
-              f"`parent` read, hop oracle {hops:.3f} ms, full hop table "
+              f"`parents()` read, hop oracle {hops:.3f} ms, full hop table "
               f"{table:.3f} ms per query; oracle component (a full flood's "
               f"charge) {component:.0f} nodes; peak RSS so far "
               f"{peak:.0f} MB")
@@ -597,6 +599,9 @@ def section_query_scaling():
         pairs = sample_queries(world)
         g, search, oracle = world.graph, world.skeleton.search, world.oracle
         pot = world.potentials
+        weights = one_off(lambda: oracle_weights(oracle, pot))
+        print(f"n=2^{k}: exposure oracle weights {weights}, "
+              f"{oracle_weights(oracle, pot)[1].data.nbytes / 2**20:.1f} MB")
         runs = [run_min_exposure(g, search, a, pot) for a, _ in pairs]
         caps = {(a, b): run.value_at(b) * (1 + 1e-9) + 1e-9
                 for (a, b), run in zip(pairs, runs)}
@@ -604,16 +609,21 @@ def section_query_scaling():
             lambda a, b: run_min_exposure(g, search, a, pot), pairs)
         # parents are derived on first read: the same flood with one read
         read = per_query_ms(
-            lambda a, b: run_min_exposure(g, search, a, pot).parent, pairs)
+            lambda a, b: run_min_exposure(g, search, a, pot).parents(), pairs)
         best = per_query_ms(lambda a, b: centralized_min_exposure(
             g, oracle, a, pot, target=b, limit=caps[a, b]), pairs)
+        # a writable array's weights are gathered on every call
+        writable = pot.copy()
+        gathered = per_query_ms(lambda a, b: centralized_min_exposure(
+            g, oracle, a, writable, target=b, limit=caps[a, b]), pairs)
         rounds = np.mean([run.rounds for run in runs])
         packets = np.mean([run.total_packets for run in runs])
         print(f"n=2^{k}: awake {world.skeleton.size}, exposure flood "
               f"{flood:.3f} ms with parents unread and {read:.3f} ms with "
-              f"`parent` read, {rounds:.1f} rounds and {packets:.0f} "
-              f"packets, exposure oracle {best:.3f} ms per query")
-        del world, g, search, oracle, pot, runs
+              f"`parents()` read, {rounds:.1f} rounds and {packets:.0f} "
+              f"packets, exposure oracle {best:.3f} ms with the weights "
+              f"kept and {gathered:.3f} ms gathered per call, per query")
+        del world, g, search, oracle, pot, writable, runs
 
 
 SECTIONS = {

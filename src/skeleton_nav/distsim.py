@@ -24,10 +24,13 @@ potential phase keeps the search graph it flooded beside its per-source hop
 tables, and the Voronoi band (`adaptive.detect_voronoi_nodes`) is read off
 them, so a world floods from each danger source once.  The exposure flood
 runs each round as a few array steps over the frontier's rows of the search
-graph's CSR arrays; untraced, it keeps no parents, and its `SimRun` derives
-them by running the rounds again.  Its oracle is csgraph's Dijkstra on
-weights gathered over the same index arrays, with the source's potential
-folded into its row.
+graph's padded neighbour table (`ActiveGraph.neighbor_table`); untraced, it
+keeps no parents, and its `SimRun` derives them by running the rounds
+again.  Its oracle is csgraph's Dijkstra on node weights over the search
+graph's own index arrays (`oracle_weights`), with the source's potential
+added to its row for the search.  For read-only potentials, such as a
+world's, the search graph keeps the weights, gathered on the first call,
+so a world gathers them once.
 
 Node order: over part of the network a search graph's local ids follow
 space order (see `field`), its rows list neighbours by node id, and every
@@ -55,8 +58,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from .danger import PotentialModel, potential_of_distance
 from .field import ActiveGraph, CommGraph, NodeId, active_graph, \
-    hop_distances, hops_between, lowest_parents, nearest_node, row_runs, \
-    spread
+    hop_distances, hops_between, lowest_parents, nearest_node, spread
 
 INF = math.inf
 
@@ -212,25 +214,34 @@ def _exposure_rounds(search: ActiveGraph, src: int, pot: np.ndarray,
                      ) -> tuple:
     """The exposure flood's rounds from local id `src`: local values,
     transmissions, the round count and, if kept (always with a trace), the
-    local parents (-1: none).  Parents are kept as node ids while the flood
-    runs, so that the lowest-id sender wins whatever the local numbering.
+    local parents (-1: none).  Each round reads its frontier's rows off the
+    search graph's padded neighbour table, in node-id order as the CSR
+    lists them, and drops the padding in one mask.  Parents are kept as
+    node ids while the flood runs, so that the lowest-id sender wins
+    whatever the local numbering.  Every sender transmits once per round
+    it is in the frontier, counted after the last round.
     """
-    indptr, indices = search.matrix.indptr, search.matrix.indices
+    table = search.neighbor_table
+    degree = np.diff(search.matrix.indptr)
     ids, n = search.ids, search.mask.size
-    value = np.full(ids.size, INF)
+    k = ids.size
+    value = np.full(k, INF)
     value[src] = pot[src]
-    tx = np.zeros(ids.size, dtype=np.int64)
-    parent = np.full(ids.size, -1) if keep_parents else None
+    parent = np.full(k, -1) if keep_parents else None
     frontier = np.array([src])
+    sent = []  # each round's frontier
     rounds = 0
     while frontier.size:
-        tx[frontier] += 1
-        counts, receivers = row_runs(indptr, indices, frontier)
+        sent.append(frontier)
+        rows = table.take(frontier, axis=0)
+        # the sentinel k pads the rows; intp indices spare each use a cast
+        receivers = rows[rows < k].astype(np.intp)
+        counts = degree.take(frontier)
         cand = value.take(frontier).repeat(counts) + pot.take(receivers)
         before = value.copy()
         np.minimum.at(value, receivers, cand)
         improved = value < before
-        senders, frontier = frontier, np.flatnonzero(improved)
+        senders, frontier = frontier, improved.nonzero()[0]
         if parent is not None:
             won = (cand == value.take(receivers)) & improved.take(receivers)
             parent[frontier] = n  # node-id parents, lowest wins
@@ -244,6 +255,7 @@ def _exposure_rounds(search: ActiveGraph, src: int, pot: np.ndarray,
                 trace(f"{rounds} {a} {b} "
                       f"{PacketKind.EXPOSURE_SEARCH.value} {x:.17g}")
         rounds += 1
+    tx = np.bincount(np.concatenate(sent), minlength=k)
     if parent is not None:
         parent = np.where(parent >= 0, search.local.take(parent), -1)
     return value, tx, rounds, parent
@@ -337,6 +349,42 @@ def centralized_bfs(graph: CommGraph, active, source: NodeId, *,
     return hops_between(search, s, search.index(target))
 
 
+def oracle_weights(search: ActiveGraph,
+                   potentials: Sequence[float] | np.ndarray
+                   ) -> tuple[np.ndarray, csr_matrix]:
+    """The exposure oracle's node weights on a search graph: the members'
+    potentials by local id, and a matrix whose entry (u, v) is v's
+    potential, sharing the search graph's `indices` and `indptr` (8 bytes
+    per entry).  Zero potentials stay explicit entries, which csgraph
+    keeps as edges.
+
+    The search graph keeps one set, for the last potentials array passed
+    that nothing can write (it and every array it views read-only), such
+    as a world's.  Any other array is gathered on every call, so a caller
+    that mutates its potentials never reads stale weights.
+    """
+    slot = search.weight_slot
+    if slot and slot[0] is potentials:
+        return slot[1], slot[2]
+    mat = search.matrix
+    pot = np.asarray(potentials, dtype=np.float64)[search.ids]
+    weighted = csr_matrix((pot.take(mat.indices), mat.indices, mat.indptr),
+                          shape=mat.shape, copy=False)
+    if _frozen(potentials):
+        slot[:] = (potentials, pot, weighted)
+    return pot, weighted
+
+
+def _frozen(arr) -> bool:
+    """Whether arr is an array that no array can write: it and every
+    array it views are read-only, down to one that owns its data."""
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return False
+        arr = arr.base
+    return arr is None
+
+
 def centralized_min_exposure(graph: CommGraph, active, source: NodeId,
                              potentials: Sequence[float] | np.ndarray, *,
                              target: NodeId | None = None,
@@ -344,34 +392,35 @@ def centralized_min_exposure(graph: CommGraph, active, source: NodeId,
                              ) -> list[float] | float:
     """Node-weighted Dijkstra, oracle for the exposure flood (csgraph).
 
-    Entering v costs potentials[v].  The source's own potential is added to
-    the weights of the source's row only, and the source's distance is set
-    to it afterwards.  Float addition commutes, so each path is summed from
-    the source outward, (pot[source] + pot[v1]) + pot[v2], as the flood
-    sums it, and the values match bit for bit.  The weights are one
-    gathered array over the search graph's index arrays, which the weighted
-    matrix shares and nothing writes.  Zero potentials stay explicit
-    entries, which csgraph keeps as edges.  `active` is a node set or an
-    `ActiveGraph`; the source must be active.
+    Entering v costs potentials[v] (`oracle_weights`).  For the search the
+    source's row also carries the source's own potential; the row is
+    gathered back from the potentials afterwards, even if the search
+    fails, so calls on one search graph must not overlap.  Float addition
+    commutes, so each path is summed from the source outward,
+    (pot[source] + pot[v1]) + pot[v2], as the flood sums it, and the
+    values match bit for bit.  `active` is a node set or an `ActiveGraph`;
+    the source must be active.
 
     Without a target the result is the list over all n nodes; with one it
     is the exposure at the target alone (inf: unreached, and at once,
-    without a search, for a target outside the search graph).  `limit`
-    stops the search at that exposure: nodes within it keep their exact
-    values, and the others read inf.
+    without a search, for a target outside the search graph).  The source
+    reads its own potential.  `limit` stops the search at that exposure:
+    nodes within it keep their exact values, and the others read inf, the
+    source too if its own potential passes the limit.
     """
     search, s = _search_graph(graph, active, source, target)
     if target is not None and not search.mask[target]:
         return INF
-    mat = search.matrix
-    pot = np.asarray(potentials, dtype=np.float64)[search.ids]
-    data = pot.take(mat.indices)  # faster than fancy indexing by int32
-    data[mat.indptr[s]:mat.indptr[s + 1]] += pot[s]
-    weighted = csr_matrix((data, mat.indices, mat.indptr), shape=mat.shape,
-                          copy=False)
-    dist = dijkstra(weighted, indices=s,
-                    limit=INF if limit is None else limit)
-    dist[s] = pot[s]
+    pot, weighted = oracle_weights(search, potentials)
+    cap = INF if limit is None else limit
+    lo, hi = weighted.indptr[s], weighted.indptr[s + 1]
+    row = weighted.data[lo:hi]  # a view: the source's row
+    row += pot[s]
+    try:
+        dist = dijkstra(weighted, indices=s, limit=cap)
+    finally:
+        pot.take(weighted.indices[lo:hi], out=row)
+    dist[s] = pot[s] if pot[s] <= cap else INF
     if target is None:
         return spread(search.ids, dist, graph.n, INF)
     return float(dist[search.index(target)])

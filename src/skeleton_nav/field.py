@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Collection, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field as data_field
 from functools import cached_property
 
 import numpy as np
@@ -274,6 +274,10 @@ class ActiveGraph:
     ids: np.ndarray      # (k,) int64: local id -> node id, read-only
     local: np.ndarray    # (n,) int32: node id -> local id (-1: not a member)
     matrix: csr_matrix
+    # the exposure oracle's kept weights: empty, or [potentials, local
+    # potentials, weighted matrix] (see `distsim.oracle_weights`)
+    weight_slot: list = data_field(default_factory=list, init=False,
+                                   repr=False)
 
     def index(self, node: NodeId) -> int:
         """The local id of a node, or -1 if it is not a member."""

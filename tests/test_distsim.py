@@ -8,6 +8,7 @@ reached-node counts, and tiny hand-built graphs pin the trace format.
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -109,6 +110,55 @@ def test_min_exposure_sender_order_does_not_change_values():
     for order_seed in (1, 7):
         assert reference_min_exposure_flood(
             g, mask, src, pot, order_seed=order_seed) == base
+
+
+def test_oracle_weights_are_kept_for_read_only_potentials():
+    g, active, src = random_instance(4)
+    search = active_graph(g, active)
+    rng = np.random.default_rng(4)
+    arrays = [rng.random(g.n), rng.random(g.n)]
+    for pot in arrays:
+        pot.setflags(write=False)
+    fresh = [centralized_min_exposure(g, search, src, pot.copy())
+             for pot in arrays]
+    assert search.weight_slot == []  # writable potentials are not kept
+    # two read-only arrays in turn on one search graph: each takes the
+    # slot and answers as a fresh writable copy does
+    for i in (0, 1, 0, 1):
+        assert centralized_min_exposure(g, search, src, arrays[i]) == fresh[i]
+        assert search.weight_slot[0] is arrays[i]
+    # a search that fails leaves the source's row restored
+    with mock.patch("skeleton_nav.distsim.dijkstra",
+                    side_effect=RuntimeError("failed")):
+        with pytest.raises(RuntimeError):
+            centralized_min_exposure(g, search, src, arrays[1])
+    weighted = search.weight_slot[2]
+    local = arrays[1][search.ids]
+    assert np.array_equal(weighted.data, local[weighted.indices])
+    assert centralized_min_exposure(g, search, src, arrays[1]) == fresh[1]
+    # a writable array, or a read-only view of one, is read on every call
+    pot = arrays[0].copy()
+    view = pot.view()
+    view.setflags(write=False)
+    for form in (pot, view):
+        before = centralized_min_exposure(g, search, src, form)
+        pot *= 2.0
+        after = centralized_min_exposure(g, search, src, form)
+        assert after == centralized_min_exposure(g, search, src, pot.copy())
+        assert after != before
+    assert search.weight_slot[0] is arrays[1]
+    # a world builds no weights; its read-only potentials are kept on
+    # first use
+    world = build_world(Scenario(
+        n=1024, seed=1, zone_kind="points", danger_count=8, danger_seed=5,
+        skeleton="adaptive", voronoi=True, queries=0,
+        metrics=("exposure",)))
+    assert world.oracle.weight_slot == []
+    assert world.skeleton.search.weight_slot == []
+    centralized_min_exposure(world.graph, world.oracle,
+                             int(world.skeleton.search.ids[0]),
+                             world.potentials)
+    assert world.oracle.weight_slot[0] is world.potentials
 
 
 def test_inactive_source_rejected(tiny_graph):

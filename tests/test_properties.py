@@ -342,10 +342,15 @@ def test_neighbor_table_equals_the_csr_rows(inst):
 
 
 @EXAMPLES
-@given(instances(), st.sampled_from((0.0, 1e-9, 0.5, 3.0)))
-def test_capped_exposure_equals_uncapped_within_the_cap(inst, slack):
+@given(instances(), st.sampled_from((0.0, 1e-9, 0.5, 3.0)), st.booleans())
+def test_capped_exposure_equals_uncapped_within_the_cap(inst, slack, frozen):
+    # read-only potentials keep their weights on the search graph, so each
+    # call below reuses them after the last one restored the source's row
     g, active, src, rng = inst
     pot = potentials(rng, g.n)
+    if frozen:
+        pot = np.array(pot)
+        pot.setflags(write=False)
     search = active_graph(g, active)
     full = centralized_min_exposure(g, search, src, pot)
     for dst in range(g.n):
@@ -356,6 +361,16 @@ def test_capped_exposure_equals_uncapped_within_the_cap(inst, slack):
                                         limit=cap) == value
     assert centralized_min_exposure(g, search, src, pot, target=src) == \
         full[src]
+    # a cap below the source's own potential leaves every node beyond it,
+    # the source too
+    if pot[src] > 0:
+        below = float(np.nextafter(pot[src], 0.0))
+        assert centralized_min_exposure(g, search, src, pot, target=src,
+                                        limit=below) == INF
+        assert centralized_min_exposure(g, search, src, pot,
+                                        limit=below) == [INF] * g.n
+        assert centralized_min_exposure(g, search, src, pot, target=src,
+                                        limit=pot[src]) == full[src]
     # a target outside the search graph reads inf without a search
     outside = np.flatnonzero(~search.mask)
     if outside.size:
